@@ -11,7 +11,12 @@
 /// >= 4. The blocked pass ("Cache-blocked kernels for large stencils")
 /// gates absolute MDPS and the blocked-vs-unblocked paired ratio in the
 /// large-stencil regime (eps >= 8) on a grid big enough that the input
-/// window leaves L1d. The process exits non-zero unless both fences hold.
+/// window leaves L1d. The shape sweep times row_run / simd / avx512 on the
+/// rects the distributed solver issues (square widths 8-192 and a 24-DP
+/// SD's interior and fine strips, eps 4 and 8) and gates the best
+/// available backend: >= row_run on every shape, and >= 50% of its own
+/// 192-wide rate at widths >= 16. The process exits non-zero unless every
+/// fence holds.
 /// Set NLH_BENCH_KERNEL_JSON to redirect the report (default:
 /// ./BENCH_kernel.json).
 ///
@@ -19,11 +24,15 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <vector>
 
+#include "dist/ownership.hpp"
+#include "dist/step_plan.hpp"
+#include "dist/tiling.hpp"
 #include "nonlocal/grid2d.hpp"
 #include "nonlocal/influence.hpp"
 #include "nonlocal/kernel/backend.hpp"
@@ -141,16 +150,16 @@ BENCHMARK(BM_ManufacturedSource);
 
 namespace {
 
-/// Million DP updates per second for one backend, self-calibrating the
-/// repetition count to ~25 ms of measurement.
-double measure_mdps(const nl::grid2d& grid, const nl::stencil_plan& plan,
-                    const std::vector<double>& u, std::vector<double>& out,
-                    nl::kernel_backend backend) {
-  const nl::dp_rect all{0, grid.n(), 0, grid.n()};
+/// Million DP updates per second of `rect` for one backend on a padded
+/// field (`stride`, `ghost`), self-calibrating the repetition count to
+/// ~25 ms of measurement.
+double measure_rect_mdps(const std::vector<double>& u, std::vector<double>& out,
+                         int stride, int ghost, const nl::stencil_plan& plan,
+                         const nl::dp_rect& rect, nl::kernel_backend backend) {
   auto apply = [&](int reps) {
     for (int r = 0; r < reps; ++r) {
-      nl::apply_nonlocal_operator_raw(u.data(), out.data(), grid.stride(),
-                                      grid.ghost(), plan, 1.0, all, backend);
+      nl::apply_nonlocal_operator_raw(u.data(), out.data(), stride, ghost, plan,
+                                      1.0, rect, backend);
       benchmark::DoNotOptimize(out.data());
     }
   };
@@ -164,8 +173,15 @@ double measure_mdps(const nl::grid2d& grid, const nl::stencil_plan& plan,
     if (elapsed >= 0.025 || reps > (1 << 24)) break;
     reps *= 2;
   }
-  const double dp = static_cast<double>(reps) * grid.n() * grid.n();
-  return dp / elapsed / 1e6;
+  return static_cast<double>(reps) * static_cast<double>(rect.area()) / elapsed / 1e6;
+}
+
+/// measure_rect_mdps over the whole interior of `grid`.
+double measure_mdps(const nl::grid2d& grid, const nl::stencil_plan& plan,
+                    const std::vector<double>& u, std::vector<double>& out,
+                    nl::kernel_backend backend) {
+  return measure_rect_mdps(u, out, grid.stride(), grid.ghost(), plan,
+                           {0, grid.n(), 0, grid.n()}, backend);
 }
 
 /// Relative fence (ROADMAP "SIMD stencil kernel"): measure every backend at
@@ -305,8 +321,130 @@ bool run_blocked_guard(std::string& rows) {
   return pass;
 }
 
-/// Run both guard passes and write BENCH_kernel.json. The process exit code
-/// is the AND of the two fences.
+/// Square rect widths of the shape sweep: SD sizes from below one AVX-512
+/// chunk up to the 192-wide reference each backend's own rate is judged by.
+constexpr int kSweepWidths[] = {8, 16, 24, 48, 96, 192};
+
+/// Backends the shape sweep times, and the static "best available" order
+/// an unpinned plan resolves to when no CMake default is configured.
+constexpr nl::kernel_backend kSweepBackends[] = {
+    nl::kernel_backend::row_run, nl::kernel_backend::simd,
+    nl::kernel_backend::avx512};
+
+int best_available_index() {
+  if (nl::kernel_avx512_available()) return 2;
+  return nl::kernel_simd_available() ? 1 : 0;
+}
+
+/// One shape of the sweep: `rect` in the coordinates of a padded field
+/// with an `n` x `n` interior.
+struct sweep_shape {
+  std::string kind;
+  int n;
+  nl::dp_rect rect;
+};
+
+/// The shapes the solver issues at stencil reach `reach`: the square width
+/// sweep, plus the case-2 interior and the distinct fine-strip shapes of
+/// the centre SD of a 3x3 tiling of 24-DP SDs, one SD per locality (so
+/// every strip of that SD waits on a ghost), in SD-local coordinates on an
+/// SD-sized block exactly as dist_solver applies them.
+std::vector<sweep_shape> sweep_shapes(int reach) {
+  std::vector<sweep_shape> shapes;
+  for (const int w : kSweepWidths) shapes.push_back({"width", w, {0, w, 0, w}});
+  constexpr int sd_size = 24;
+  const nlh::dist::tiling tl(3, 3, sd_size, reach);
+  std::vector<int> owner(static_cast<std::size_t>(tl.num_sds()));
+  for (std::size_t i = 0; i < owner.size(); ++i) owner[i] = static_cast<int>(i);
+  const nlh::dist::ownership_map own(tl, tl.num_sds(), owner);
+  const auto plan = nlh::dist::compile_step_plan(tl, own);
+  const auto& sd = plan.sds[static_cast<std::size_t>(tl.sd_at(1, 1))];
+  shapes.push_back({"sd24_interior", sd_size, sd.split.interior});
+  for (const auto& strip : sd.strips) {
+    const bool seen = std::any_of(shapes.begin(), shapes.end(), [&](const auto& s) {
+      return s.kind == "sd24_strip" && s.rect.rows() == strip.rect.rows() &&
+             s.rect.cols() == strip.rect.cols();
+    });
+    if (!seen) shapes.push_back({"sd24_strip", sd_size, strip.rect});
+  }
+  return shapes;
+}
+
+/// Shape fence (ROADMAP "make the kernel fast on the shapes the solver
+/// actually issues"): time row_run, simd and avx512 on every sweep shape at
+/// eps factors 4 and 8 — the median of three interleaved rounds — and gate
+/// the best available backend on two bounds. Gate 1: it is >= row_run on
+/// every shape. Gate 2: at widths >= 16 it reaches >= 50% of its own
+/// 192-wide rate. Appends one JSON row per (eps, shape) to `rows` and
+/// reports each gate's verdict.
+void run_shape_guard(std::string& rows, bool& gate1, bool& gate2) {
+  constexpr int rounds = 3;
+  constexpr double own_rate_floor = 0.5;
+  const int best = best_available_index();
+  gate1 = true;
+  gate2 = true;
+  std::printf("\nkernel guard, shape sweep (best backend %s, median of %d):\n",
+              nl::kernel_backend_name(kSweepBackends[best]), rounds);
+  for (const int f : {4, 8}) {
+    const nl::grid2d plan_grid(192, static_cast<double>(f) / 192);
+    const nl::stencil st(plan_grid, nl::influence{});
+    const nl::stencil_plan plan(st);
+    const int ghost = plan.reach();
+    const auto shapes = sweep_shapes(ghost);
+
+    std::vector<std::array<double, 3>> mdps(shapes.size());
+    for (std::size_t k = 0; k < shapes.size(); ++k) {
+      const int stride = shapes[k].n + 2 * ghost;
+      std::vector<double> u(static_cast<std::size_t>(stride) * stride);
+      std::vector<double> out(u.size(), 0.0);
+      for (std::size_t i = 0; i < u.size(); ++i) u[i] = 1e-3 * static_cast<double>(i % 101);
+      std::array<std::array<double, rounds>, 3> samples{};
+      for (int r = 0; r < rounds; ++r)
+        for (int b = 0; b < 3; ++b)
+          samples[b][r] = measure_rect_mdps(u, out, stride, ghost, plan,
+                                            shapes[k].rect, kSweepBackends[b]);
+      for (int b = 0; b < 3; ++b) {
+        std::sort(samples[b].begin(), samples[b].end());
+        mdps[k][b] = samples[b][rounds / 2];
+      }
+    }
+
+    double own_192 = 0.0;
+    for (std::size_t k = 0; k < shapes.size(); ++k)
+      if (shapes[k].kind == "width" && shapes[k].rect.cols() == 192) own_192 = mdps[k][best];
+    for (std::size_t k = 0; k < shapes.size(); ++k) {
+      const auto& sh = shapes[k];
+      const double vs_row_run = mdps[k][best] / mdps[k][0];
+      const double vs_own_192 = mdps[k][best] / own_192;
+      const bool ok1 = vs_row_run >= 1.0;
+      const bool gated2 = sh.kind == "width" && sh.rect.cols() >= 16;
+      const bool ok2 = !gated2 || vs_own_192 >= own_rate_floor;
+      gate1 = gate1 && ok1;
+      gate2 = gate2 && ok2;
+
+      char row[512];
+      std::snprintf(row, sizeof(row),
+                    "      {\"eps_factor\": %d, \"kind\": \"%s\", \"rows\": %d, "
+                    "\"cols\": %d, \"row_run_mdps\": %.2f, \"simd_mdps\": %.2f, "
+                    "\"avx512_mdps\": %.2f, \"best_vs_row_run\": %.3f, "
+                    "\"best_vs_own_192\": %.3f, \"gate1\": %s, \"gate2\": %s}",
+                    f, sh.kind.c_str(), sh.rect.rows(), sh.rect.cols(), mdps[k][0],
+                    mdps[k][1], mdps[k][2], vs_row_run, vs_own_192,
+                    ok1 ? "true" : "false",
+                    gated2 ? (ok2 ? "true" : "false") : "null");
+      if (!rows.empty()) rows += ",\n";
+      rows += row;
+      std::printf("  eps=%d %-13s %3dx%-3d  row_run %7.1f  simd %7.1f  avx512 %7.1f"
+                  "  best/row_run %5.2fx%s  best/own192 %4.2f%s\n",
+                  f, sh.kind.c_str(), sh.rect.rows(), sh.rect.cols(), mdps[k][0],
+                  mdps[k][1], mdps[k][2], vs_row_run, ok1 ? "" : " FAIL",
+                  vs_own_192, ok2 ? "" : " FAIL");
+    }
+  }
+}
+
+/// Run the three guard passes and write BENCH_kernel.json. The process
+/// exit code is the AND of the fences.
 bool run_kernel_guard(const char* path) {
   std::string relative_rows;
   double min_best_speedup_ge4 = 0.0;
@@ -314,7 +452,12 @@ bool run_kernel_guard(const char* path) {
 
   std::string blocked_rows;
   const bool blocked_pass = run_blocked_guard(blocked_rows);
-  const bool pass = relative_pass && blocked_pass;
+
+  std::string shape_rows;
+  bool gate1 = false;
+  bool gate2 = false;
+  run_shape_guard(shape_rows, gate1, gate2);
+  const bool pass = relative_pass && blocked_pass && gate1 && gate2;
 
   std::FILE* fp = std::fopen(path, "w");
   if (!fp) {
@@ -339,6 +482,14 @@ bool run_kernel_guard(const char* path) {
                "    \"pass\": %s,\n"
                "    \"results\": [\n%s\n    ]\n"
                "  },\n"
+               "  \"shape_sweep\": {\n"
+               "    \"best_backend\": \"%s\",\n"
+               "    \"rounds\": 3,\n"
+               "    \"gate1_best_ge_row_run_pass\": %s,\n"
+               "    \"gate2_min_frac_of_own_192_at_width_ge_16\": 0.50,\n"
+               "    \"gate2_pass\": %s,\n"
+               "    \"results\": [\n%s\n    ]\n"
+               "  },\n"
                "  \"pass\": %s\n"
                "}\n",
                nl::kernel_simd_available() ? "true" : "false",
@@ -347,7 +498,9 @@ bool run_kernel_guard(const char* path) {
                nl::kernel_avx512_compiled_level(), min_best_speedup_ge4,
                relative_pass ? "true" : "false", relative_rows.c_str(),
                blocked_pass ? "true" : "false", blocked_rows.c_str(),
-               pass ? "true" : "false");
+               nl::kernel_backend_name(kSweepBackends[best_available_index()]),
+               gate1 ? "true" : "false", gate2 ? "true" : "false",
+               shape_rows.c_str(), pass ? "true" : "false");
   std::fclose(fp);
   std::printf("  guard %s -> %s\n", pass ? "PASS" : "FAIL", path);
   return pass;

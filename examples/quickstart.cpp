@@ -12,8 +12,7 @@
 ///
 /// `--scenario` takes any registered scenario (manufactured,
 /// gaussian_pulse, lshape, crack, ...); `--backend` pins the kernel
-/// backend (scalar, row_run, simd) instead of the deprecated
-/// NLH_KERNEL_BACKEND environment variable.
+/// backend (scalar, row_run, simd, avx512) for this session.
 ///
 
 #include <cmath>

@@ -106,9 +106,7 @@ struct session_options {
   /// "scalar", "row_run", "simd" or "avx512"; pins *this session's* kernel
   /// backend (the solver's stencil_plan is pinned at construction — no
   /// process global is touched, so sessions with different backends
-  /// coexist). Empty = follow the process default, which still resolves
-  /// through the deprecated NLH_KERNEL_BACKEND environment variable as a
-  /// fallback (see docs/api.md).
+  /// coexist). Empty = follow the process default (see docs/api.md).
   std::string kernel_backend;
   /// Blocked-execution overrides for this session's kernel cache model
   /// (docs/kernels.md): zero fields derive from the probed cache geometry;

@@ -7,10 +7,11 @@ void mailbox::deliver(int src, std::uint64_t tag, byte_buffer payload) {
   bool matched = false;
   {
     std::lock_guard lk(m_);
-    auto& waiters = waiting_[{src, tag}];
-    if (!waiters.empty()) {
-      to_fulfill = std::move(waiters.front());
-      waiters.pop_front();
+    auto it = waiting_.find({src, tag});
+    if (it != waiting_.end()) {
+      to_fulfill = std::move(it->second.front());
+      it->second.pop_front();
+      if (it->second.empty()) waiting_.erase(it);
       matched = true;
     } else {
       arrived_[{src, tag}].push_back(std::move(payload));
@@ -29,9 +30,10 @@ amt::future<byte_buffer> mailbox::recv(int src, std::uint64_t tag) {
   {
     std::lock_guard lk(m_);
     auto it = arrived_.find({src, tag});
-    if (it != arrived_.end() && !it->second.empty()) {
+    if (it != arrived_.end()) {
       ready = std::move(it->second.front());
       it->second.pop_front();
+      if (it->second.empty()) arrived_.erase(it);
       have = true;
     } else {
       waiting_[{src, tag}].push_back(std::move(p));
@@ -53,6 +55,11 @@ std::size_t mailbox::pending_receives() const {
   std::size_t n = 0;
   for (const auto& [k, q] : waiting_) n += q.size();
   return n;
+}
+
+std::size_t mailbox::tracked_tags() const {
+  std::lock_guard lk(m_);
+  return arrived_.size() + waiting_.size();
 }
 
 }  // namespace nlh::net

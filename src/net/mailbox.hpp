@@ -7,7 +7,8 @@
 /// message is delivered — the arrival order of deliver/recv does not matter
 /// (messages that arrive early are parked; receives posted early park a
 /// promise). Matching is exact on (source locality, tag); the distributed
-/// solver encodes (timestep, subdomain) into the tag.
+/// solver encodes (timestep, subdomain) into the tag, so keys are erased
+/// once their queue drains — per-tag state never outlives its messages.
 ///
 
 #include <cstdint>
@@ -34,6 +35,11 @@ class mailbox {
 
   /// Number of parked receives not yet matched by a deliver (diagnostics).
   std::size_t pending_receives() const;
+
+  /// Number of (src, tag) keys holding parked messages or receives. A key
+  /// is dropped as soon as its queue drains, so a mailbox whose every
+  /// message has been matched tracks no tags (diagnostics).
+  std::size_t tracked_tags() const;
 
  private:
   using key = std::pair<int, std::uint64_t>;

@@ -14,9 +14,12 @@
 /// run's entries by alignment class (e mod 8): two entries eight apart read
 /// input vectors shifted by exactly one zmm, so inside a class the loads
 /// rotate through registers and each steady-state step costs one fresh load
-/// plus one broadcast for eight (96-col body: twelve) FMAs. Every load this
-/// kernel performs lies inside the span the naive kernel reads — there are
-/// no speculative over-reads past the padded field.
+/// plus one broadcast for eight (96-col body: twelve) FMAs. Columns left of
+/// a block after the 96/32-column bodies — all of a rect narrower than 32,
+/// the common case for SD-sized rects — run a masked 8-lane body four rows
+/// at a time that shares each weight broadcast across the rows. Every load
+/// this kernel performs lies inside the span the naive kernel reads — there
+/// are no speculative over-reads past the padded field.
 ///
 /// Bitwise contract: a DP's accumulation chain is
 ///   for each run (plan order):
@@ -24,8 +27,8 @@
 ///       for e = e8, e8+8, e8+16, ...:       // ascending within class
 ///         acc = fma(w[e], u[dj+e], acc)
 ///   out = c * fnmadd(wsum, u_center, acc)
-/// The 96-column body, the 32-column body and the scalar-FMA tail all walk
-/// that same chain, so a DP's bits never depend on which body computed it,
+/// The 96-column body, the 32-column body and every lane of the narrow body
+/// walk that same chain, so a DP's bits never depend on which body computed it,
 /// on the rect shape, or on the block geometry — the partition-invariance
 /// property the distributed solver relies on. Note the class ordering means
 /// avx512 output is NOT bit-identical to the simd backend's natural-order
@@ -57,26 +60,61 @@ namespace nlh::nonlocal::kernel_detail {
 
 namespace {
 
-/// Tail columns with scalar FMA intrinsics walking the same per-DP chain as
-/// the vector bodies: run order, then alignment class, then ascending
-/// within the class. A DP's bits must not depend on whether it fell in a
-/// vector body or the tail.
-inline void run_formula_tail(const double* urow, double* orow, int stride,
-                             const stencil_plan& plan, double c, double wsum,
-                             int j_begin, int j_end) {
+/// Narrow-column body: the columns [j, j + 8) — lanes outside the mask
+/// `m` off — of `R` consecutive rows starting at `urow`/`orow`, one zmm
+/// accumulator per row. Each lane is one DP walking the same chain as the
+/// wide bodies (run order, then alignment class, then ascending within the
+/// class), so a DP's bits do not depend on which body computed it. The
+/// broadcast weight is shared by the R rows; masked lanes are neither read
+/// nor written, so every access lies inside the span a per-DP loop over
+/// the same columns would touch.
+template <int R>
+inline void narrow_rows(const double* urow, double* orow, int stride,
+                        const stencil_plan& plan, __m512d vc, __m512d vwsum,
+                        int j, __mmask8 m) {
   const double* weights = plan.weights().data();
-  for (int j = j_begin; j < j_end; ++j) {
-    __m128d acc = _mm_setzero_pd();
-    for (const auto& r : plan.runs()) {
-      const double* s = urow + static_cast<std::ptrdiff_t>(r.di) * stride +
-                        r.dj_begin + j;
-      const double* w = weights + r.weight_index;
-      for (int e8 = 0; e8 < 8 && e8 < r.length; ++e8)
-        for (int e = e8; e < r.length; e += 8)
-          acc = _mm_fmadd_sd(_mm_load_sd(w + e), _mm_load_sd(s + e), acc);
+  __m512d acc[R];
+  for (int r = 0; r < R; ++r) acc[r] = _mm512_setzero_pd();
+  for (const auto& run : plan.runs()) {
+    const double* s = urow + static_cast<std::ptrdiff_t>(run.di) * stride +
+                      run.dj_begin + j;
+    const double* w = weights + run.weight_index;
+    for (int e8 = 0; e8 < 8 && e8 < run.length; ++e8)
+      for (int e = e8; e < run.length; e += 8) {
+        const __m512d we = _mm512_set1_pd(w[e]);
+        for (int r = 0; r < R; ++r)
+          acc[r] = _mm512_fmadd_pd(
+              we, _mm512_maskz_loadu_pd(m, s + static_cast<std::ptrdiff_t>(r) * stride + e),
+              acc[r]);
+      }
+  }
+  for (int r = 0; r < R; ++r) {
+    const std::ptrdiff_t off = static_cast<std::ptrdiff_t>(r) * stride + j;
+    const __m512d center = _mm512_maskz_loadu_pd(m, urow + off);
+    _mm512_mask_storeu_pd(orow + off, m,
+                          _mm512_mul_pd(vc, _mm512_fnmadd_pd(vwsum, center, acc[r])));
+  }
+}
+
+/// Columns [j_begin, j_end) of rows [row_begin, row_end): four rows at a
+/// time (then the 1-3 leftover rows), 8-lane chunks with the last masked.
+inline void narrow_block(const double* u, double* out, int stride, int ghost,
+                         const stencil_plan& plan, __m512d vc, __m512d vwsum,
+                         int row_begin, int row_end, int j_begin, int j_end) {
+  for (int i = row_begin; i < row_end; i += 4) {
+    const std::size_t row = static_cast<std::size_t>(i + ghost) * stride + ghost;
+    const double* urow = u + row;
+    double* orow = out + row;
+    for (int j = j_begin; j < j_end; j += 8) {
+      const int lanes = j_end - j < 8 ? j_end - j : 8;
+      const __mmask8 m = static_cast<__mmask8>((1u << lanes) - 1u);
+      switch (row_end - i) {
+        case 1: narrow_rows<1>(urow, orow, stride, plan, vc, vwsum, j, m); break;
+        case 2: narrow_rows<2>(urow, orow, stride, plan, vc, vwsum, j, m); break;
+        case 3: narrow_rows<3>(urow, orow, stride, plan, vc, vwsum, j, m); break;
+        default: narrow_rows<4>(urow, orow, stride, plan, vc, vwsum, j, m); break;
+      }
     }
-    acc = _mm_fnmadd_sd(_mm_set_sd(wsum), _mm_load_sd(urow + j), acc);
-    _mm_store_sd(orow + j, _mm_mul_sd(_mm_set_sd(c), acc));
   }
 }
 
@@ -127,6 +165,10 @@ void apply_avx512(const double* u, double* out, int stride, int ghost,
 
   for_each_block(rect, g, [&](const dp_rect& blk, const dp_rect* next) {
     if (next != nullptr) prefetch_block_lead(u, stride, ghost, *next, reach);
+    // Every row of the block splits at the same columns: the wide bodies
+    // cover [col_begin, j_narrow), the narrow body the rest.
+    const int width = blk.col_end - blk.col_begin;
+    const int j_narrow = blk.col_begin + width / 96 * 96 + width % 96 / 32 * 32;
     for (int i = blk.row_begin; i < blk.row_end; ++i) {
       const double* urow =
           u + static_cast<std::size_t>(i + ghost) * stride + ghost;
@@ -188,7 +230,8 @@ void apply_avx512(const double* u, double* out, int stride, int ghost,
         NLH_AVX512_STORE(a10, 80);
         NLH_AVX512_STORE(a11, 88);
       }
-      // 32-column body for the tile remainder (tiles are multiples of 32).
+      // 32-column body for tile remainders and 32-95-wide rects (tiles are
+      // multiples of 32).
       for (; j + 32 <= blk.col_end; j += 32) {
         __m512d a0 = _mm512_setzero_pd(), a1 = _mm512_setzero_pd();
         __m512d a2 = _mm512_setzero_pd(), a3 = _mm512_setzero_pd();
@@ -221,8 +264,9 @@ void apply_avx512(const double* u, double* out, int stride, int ghost,
         NLH_AVX512_STORE(a2, 16);
         NLH_AVX512_STORE(a3, 24);
       }
-      run_formula_tail(urow, orow, stride, plan, c, wsum, j, blk.col_end);
     }
+    narrow_block(u, out, stride, ghost, plan, vc, vwsum, blk.row_begin,
+                 blk.row_end, j_narrow, blk.col_end);
   });
 }
 

@@ -37,28 +37,62 @@ namespace nlh::nonlocal::kernel_detail {
 
 namespace {
 
-/// Tail columns, one at a time, with *scalar FMA intrinsics* mirroring the
-/// vector body's fmadd/fnmadd/mul sequence exactly. A DP's bits must not
-/// depend on whether it fell in the 16-wide body or the tail — serial rows
-/// and narrow SD rects slice the same DP into different positions, and the
-/// per-backend bitwise serial/distributed guarantee (docs/kernels.md) hinges
-/// on the rounding being identical either way. A plain C++ tail would only
-/// match when the compiler happens to contract mul+add into FMAs.
-inline void run_formula_tail(const double* urow, double* orow, int stride,
-                             const stencil_plan& plan, double c, double wsum,
-                             int j_begin, int j_end) {
+/// Narrow-column body: the columns [j, j + 4) — lanes outside the mask
+/// `m` off — of `R` consecutive rows starting at `urow`/`orow`, one ymm
+/// accumulator per row. Each lane is one DP walking the 16-wide body's
+/// chain (natural entry order, fmadd, then fnmadd/mul), so a DP's bits do
+/// not depend on which body computed it — serial rows and narrow SD rects
+/// slice the same DP into different positions, and the per-backend bitwise
+/// serial/distributed guarantee (docs/kernels.md) hinges on that. Masked
+/// lanes are neither read nor written.
+template <int R>
+inline void narrow_rows(const double* urow, double* orow, int stride,
+                        const stencil_plan& plan, __m256d vc, __m256d vwsum,
+                        int j, __m256i m) {
   const double* weights = plan.weights().data();
-  for (int j = j_begin; j < j_end; ++j) {
-    __m128d acc = _mm_setzero_pd();
-    for (const auto& r : plan.runs()) {
-      const double* s = urow + static_cast<std::ptrdiff_t>(r.di) * stride +
-                        r.dj_begin + j;
-      const double* w = weights + r.weight_index;
-      for (int e = 0; e < r.length; ++e)
-        acc = _mm_fmadd_sd(_mm_load_sd(w + e), _mm_load_sd(s + e), acc);
+  __m256d acc[R];
+  for (int r = 0; r < R; ++r) acc[r] = _mm256_setzero_pd();
+  for (const auto& run : plan.runs()) {
+    const double* s = urow + static_cast<std::ptrdiff_t>(run.di) * stride +
+                      run.dj_begin + j;
+    const double* w = weights + run.weight_index;
+    for (int e = 0; e < run.length; ++e) {
+      const __m256d we = _mm256_set1_pd(w[e]);
+      for (int r = 0; r < R; ++r)
+        acc[r] = _mm256_fmadd_pd(
+            we, _mm256_maskload_pd(s + static_cast<std::ptrdiff_t>(r) * stride + e, m),
+            acc[r]);
     }
-    acc = _mm_fnmadd_sd(_mm_set_sd(wsum), _mm_load_sd(urow + j), acc);
-    _mm_store_sd(orow + j, _mm_mul_sd(_mm_set_sd(c), acc));
+  }
+  for (int r = 0; r < R; ++r) {
+    const std::ptrdiff_t off = static_cast<std::ptrdiff_t>(r) * stride + j;
+    const __m256d center = _mm256_maskload_pd(urow + off, m);
+    _mm256_maskstore_pd(orow + off, m,
+                        _mm256_mul_pd(vc, _mm256_fnmadd_pd(vwsum, center, acc[r])));
+  }
+}
+
+/// Columns [j_begin, j_end) of rows [row_begin, row_end): four rows at a
+/// time (then the 1-3 leftover rows), 4-lane chunks with the last masked.
+inline void narrow_block(const double* u, double* out, int stride, int ghost,
+                         const stencil_plan& plan, __m256d vc, __m256d vwsum,
+                         int row_begin, int row_end, int j_begin, int j_end) {
+  for (int i = row_begin; i < row_end; i += 4) {
+    const std::size_t row = static_cast<std::size_t>(i + ghost) * stride + ghost;
+    const double* urow = u + row;
+    double* orow = out + row;
+    for (int j = j_begin; j < j_end; j += 4) {
+      const int lanes = j_end - j < 4 ? j_end - j : 4;
+      // Lane k is live iff k < lanes (maskload keys on each lane's sign bit).
+      const __m256i m = _mm256_cmpgt_epi64(_mm256_set1_epi64x(lanes),
+                                           _mm256_set_epi64x(3, 2, 1, 0));
+      switch (row_end - i) {
+        case 1: narrow_rows<1>(urow, orow, stride, plan, vc, vwsum, j, m); break;
+        case 2: narrow_rows<2>(urow, orow, stride, plan, vc, vwsum, j, m); break;
+        case 3: narrow_rows<3>(urow, orow, stride, plan, vc, vwsum, j, m); break;
+        default: narrow_rows<4>(urow, orow, stride, plan, vc, vwsum, j, m); break;
+      }
+    }
   }
 }
 
@@ -99,8 +133,8 @@ void apply_simd(const double* u, double* out, int stride, int ghost,
   // the entire stencil sweep, so the only streaming traffic is the loads.
   // The sweep walks the plan's blocked geometry so the column tile's
   // sliding input window stays cache-resident across the row block; which
-  // block (or body/tail lane) a DP lands in never changes its bits, because
-  // the scalar-FMA tail mirrors the vector body's rounding exactly.
+  // block (or wide/narrow body) a DP lands in never changes its bits,
+  // because the masked narrow body walks the wide body's chain lane by lane.
   const block_geometry& g = plan.blocking();
   const int reach = plan.reach();
   const double wsum = plan.weight_sum();
@@ -110,40 +144,44 @@ void apply_simd(const double* u, double* out, int stride, int ghost,
 
   for_each_block(rect, g, [&](const dp_rect& blk, const dp_rect* next) {
     if (next != nullptr) prefetch_block_lead(u, stride, ghost, *next, reach);
-  for (int i = blk.row_begin; i < blk.row_end; ++i) {
-    const double* urow = u + static_cast<std::size_t>(i + ghost) * stride + ghost;
-    double* orow = out + static_cast<std::size_t>(i + ghost) * stride + ghost;
-    int j = blk.col_begin;
-    for (; j + 16 <= blk.col_end; j += 16) {
-      __m256d a0 = _mm256_setzero_pd();
-      __m256d a1 = _mm256_setzero_pd();
-      __m256d a2 = _mm256_setzero_pd();
-      __m256d a3 = _mm256_setzero_pd();
-      for (const auto& r : plan.runs()) {
-        const double* srow = urow + static_cast<std::ptrdiff_t>(r.di) * stride +
-                             r.dj_begin + j;
-        const double* w = weights + r.weight_index;
-        for (int e = 0; e < r.length; ++e) {
-          const __m256d we = _mm256_set1_pd(w[e]);
-          const double* s = srow + e;
-          a0 = _mm256_fmadd_pd(we, _mm256_loadu_pd(s), a0);
-          a1 = _mm256_fmadd_pd(we, _mm256_loadu_pd(s + 4), a1);
-          a2 = _mm256_fmadd_pd(we, _mm256_loadu_pd(s + 8), a2);
-          a3 = _mm256_fmadd_pd(we, _mm256_loadu_pd(s + 12), a3);
+    // Every row of the block splits at the same column: the 16-wide body
+    // covers [col_begin, j_narrow), the narrow body the rest.
+    const int j_narrow =
+        blk.col_begin + (blk.col_end - blk.col_begin) / 16 * 16;
+    for (int i = blk.row_begin; i < blk.row_end; ++i) {
+      const double* urow = u + static_cast<std::size_t>(i + ghost) * stride + ghost;
+      double* orow = out + static_cast<std::size_t>(i + ghost) * stride + ghost;
+      for (int j = blk.col_begin; j < j_narrow; j += 16) {
+        __m256d a0 = _mm256_setzero_pd();
+        __m256d a1 = _mm256_setzero_pd();
+        __m256d a2 = _mm256_setzero_pd();
+        __m256d a3 = _mm256_setzero_pd();
+        for (const auto& r : plan.runs()) {
+          const double* srow = urow + static_cast<std::ptrdiff_t>(r.di) * stride +
+                               r.dj_begin + j;
+          const double* w = weights + r.weight_index;
+          for (int e = 0; e < r.length; ++e) {
+            const __m256d we = _mm256_set1_pd(w[e]);
+            const double* s = srow + e;
+            a0 = _mm256_fmadd_pd(we, _mm256_loadu_pd(s), a0);
+            a1 = _mm256_fmadd_pd(we, _mm256_loadu_pd(s + 4), a1);
+            a2 = _mm256_fmadd_pd(we, _mm256_loadu_pd(s + 8), a2);
+            a3 = _mm256_fmadd_pd(we, _mm256_loadu_pd(s + 12), a3);
+          }
         }
+        // out = c * (acc - wsum * u_center)
+        a0 = _mm256_fnmadd_pd(vwsum, _mm256_loadu_pd(urow + j), a0);
+        a1 = _mm256_fnmadd_pd(vwsum, _mm256_loadu_pd(urow + j + 4), a1);
+        a2 = _mm256_fnmadd_pd(vwsum, _mm256_loadu_pd(urow + j + 8), a2);
+        a3 = _mm256_fnmadd_pd(vwsum, _mm256_loadu_pd(urow + j + 12), a3);
+        _mm256_storeu_pd(orow + j, _mm256_mul_pd(vc, a0));
+        _mm256_storeu_pd(orow + j + 4, _mm256_mul_pd(vc, a1));
+        _mm256_storeu_pd(orow + j + 8, _mm256_mul_pd(vc, a2));
+        _mm256_storeu_pd(orow + j + 12, _mm256_mul_pd(vc, a3));
       }
-      // out = c * (acc - wsum * u_center)
-      a0 = _mm256_fnmadd_pd(vwsum, _mm256_loadu_pd(urow + j), a0);
-      a1 = _mm256_fnmadd_pd(vwsum, _mm256_loadu_pd(urow + j + 4), a1);
-      a2 = _mm256_fnmadd_pd(vwsum, _mm256_loadu_pd(urow + j + 8), a2);
-      a3 = _mm256_fnmadd_pd(vwsum, _mm256_loadu_pd(urow + j + 12), a3);
-      _mm256_storeu_pd(orow + j, _mm256_mul_pd(vc, a0));
-      _mm256_storeu_pd(orow + j + 4, _mm256_mul_pd(vc, a1));
-      _mm256_storeu_pd(orow + j + 8, _mm256_mul_pd(vc, a2));
-      _mm256_storeu_pd(orow + j + 12, _mm256_mul_pd(vc, a3));
     }
-    run_formula_tail(urow, orow, stride, plan, c, wsum, j, blk.col_end);
-  }
+    narrow_block(u, out, stride, ghost, plan, vc, vwsum, blk.row_begin,
+                 blk.row_end, j_narrow, blk.col_end);
   });
 }
 

@@ -1,8 +1,9 @@
 // Tests for the vectorized kernel subsystem (src/nonlocal/kernel/): stencil
 // canonicalization, run compilation invariants, bitwise/ULP agreement of the
 // scalar / row_run / simd / avx512 backends across horizon factors,
-// non-square rects and rects touching the ghost border, and the blocked
-// execution plan (cache-model clamping, blocked == unblocked bitwise).
+// non-square rects and rects touching the ghost border, the blocked
+// execution plan (cache-model clamping, blocked == unblocked bitwise), and
+// the masked narrow bodies of the vector backends on every narrow shape.
 
 #include <gtest/gtest.h>
 
@@ -65,6 +66,19 @@ void expect_rect_near(const nl::grid2d& g, const std::vector<double>& a,
 constexpr nl::kernel_backend kAllBackends[] = {
     nl::kernel_backend::scalar, nl::kernel_backend::row_run,
     nl::kernel_backend::simd, nl::kernel_backend::avx512};
+
+/// One rect per (width, height) in 1..40 x 1..9 — every mask width and
+/// every 4-row remainder — at offsets that vary the column alignment.
+std::vector<nl::dp_rect> narrow_rects(int n) {
+  std::vector<nl::dp_rect> rects;
+  for (int w = 1; w <= 40; ++w)
+    for (int h = 1; h <= 9; ++h) {
+      const int r0 = (w + 3 * h) % (n - h);
+      const int c0 = (5 * w + h) % (n - w);
+      rects.push_back({r0, r0 + h, c0, c0 + w});
+    }
+  return rects;
+}
 
 }  // namespace
 
@@ -449,7 +463,7 @@ TEST(KernelBlocking, BlockedMatchesUnblockedBitwiseOnAwkwardRects) {
 
   const auto u = random_field(g, 77);
   const double c = 2.25;
-  const nl::dp_rect rects[] = {
+  std::vector<nl::dp_rect> rects = {
       {0, 1, 0, n},        // 1-row rect, full width
       {5, 6, 3, 11},       // 1-row rect, width < tile
       {10, 16, 20, 33},    // width % tile != 0, reach > height
@@ -457,6 +471,9 @@ TEST(KernelBlocking, BlockedMatchesUnblockedBitwiseOnAwkwardRects) {
       {2, 7, 0, 32},       // aligned tile, off-boundary rows
       {17, 18, 17, 18},    // single DP
   };
+  // Every narrow-body mask width and 4-row remainder.
+  const auto narrow = narrow_rects(n);
+  rects.insert(rects.end(), narrow.begin(), narrow.end());
   for (const auto b : kAllBackends) {
     for (const auto& rect : rects) {
       const auto got = apply_backend(g, blocked, c, u, rect, b);
@@ -500,6 +517,107 @@ TEST(KernelBlocking, StripDecompositionInvariantUnderBlocking) {
       for (int j = 0; j < n; ++j)
         ASSERT_EQ(full[g.flat(i, j)], split[g.flat(i, j)])
             << nl::kernel_backend_name(b) << " at (" << i << ", " << j << ")";
+  }
+}
+
+// ------------------------------------------------------- narrow bodies ----
+
+namespace {
+
+/// The vector backends whose rects narrower than their wide bodies run the
+/// masked narrow body (avx512: 8 lanes, simd/AVX2: 4 lanes; 4 rows a time).
+constexpr nl::kernel_backend kNarrowBackends[] = {nl::kernel_backend::simd,
+                                                  nl::kernel_backend::avx512};
+
+/// Scalar reference of a hoisted backend's per-DP chain with std::fma:
+/// runs in plan order; within a run, alignment-class order (e mod 8, then
+/// ascending — the avx512 chain) or natural order (the AVX2 chain); then
+/// out = c * fma(-wsum, u_center, acc).
+std::vector<double> chain_reference(const nl::grid2d& g, const nl::stencil_plan& plan,
+                                    double c, const std::vector<double>& u,
+                                    const nl::dp_rect& rect, bool class_order) {
+  auto out = g.make_field();
+  const double* weights = plan.weights().data();
+  for (int i = rect.row_begin; i < rect.row_end; ++i)
+    for (int j = rect.col_begin; j < rect.col_end; ++j) {
+      double acc = 0.0;
+      for (const auto& r : plan.runs()) {
+        const double* s = u.data() + g.flat(i + r.di, j + r.dj_begin);
+        const double* w = weights + r.weight_index;
+        const int classes = class_order ? 8 : 1;
+        for (int e0 = 0; e0 < classes && e0 < r.length; ++e0)
+          for (int e = e0; e < r.length; e += classes) acc = std::fma(w[e], s[e], acc);
+      }
+      out[g.flat(i, j)] = c * std::fma(-plan.weight_sum(), u[g.flat(i, j)], acc);
+    }
+  return out;
+}
+
+void expect_rect_bitwise(const nl::grid2d& g, const std::vector<double>& got,
+                         const std::vector<double>& want, const nl::dp_rect& rect,
+                         const char* what, nl::kernel_backend b) {
+  for (int i = rect.row_begin; i < rect.row_end; ++i)
+    for (int j = rect.col_begin; j < rect.col_end; ++j)
+      ASSERT_EQ(got[g.flat(i, j)], want[g.flat(i, j)])
+          << what << ", " << nl::kernel_backend_name(b) << ", rect " << rect.rows()
+          << "x" << rect.cols() << " at (" << i << ", " << j << ")";
+}
+
+}  // namespace
+
+TEST(KernelNarrow, NarrowRectEqualsCutOfFullWidthRows) {
+  // Same bits as the full-width rows, and the masked lanes write nothing
+  // outside the rect (the distributed solver's strips abut each other).
+  const int n = 56;
+  nl::grid2d g(n, 8.0 / n);
+  nl::stencil st(g, nl::influence{});
+  nl::stencil_plan plan(st);
+  const auto u = random_field(g, 92);
+  const double c = 0.8;
+  constexpr double sentinel = 7.0;
+  for (const auto b : kNarrowBackends)
+    for (const auto& rect : narrow_rects(n)) {
+      std::vector<double> got(g.total(), sentinel);
+      nl::apply_nonlocal_operator_raw(u.data(), got.data(), g.stride(), g.ghost(), plan,
+                                      c, rect, b);
+      const nl::dp_rect rows{rect.row_begin, rect.row_end, 0, n};
+      expect_rect_bitwise(g, got, apply_backend(g, plan, c, u, rows, b), rect,
+                          "narrow vs full-width rows", b);
+      const auto untouched = std::count(got.begin(), got.end(), sentinel);
+      ASSERT_EQ(untouched, static_cast<long long>(got.size()) - rect.area())
+          << nl::kernel_backend_name(b) << ", rect " << rect.rows() << "x"
+          << rect.cols();
+    }
+}
+
+TEST(KernelNarrow, VectorBackendsWalkTheirDocumentedChain) {
+  // avx512 walks each run in alignment-class order, AVX2 in natural
+  // order; both hoist the centre term with one fused negate-multiply-add.
+  // A std::fma reference of each chain must reproduce every DP bit for
+  // bit, whichever body (wide or masked narrow) computed it.
+  const bool avx512 = nl::kernel_avx512_available();
+  const bool avx2 = nl::kernel_simd_available() && nl::kernel_simd_compiled_level() == 2;
+  if (!avx512 && !avx2) GTEST_SKIP() << "no FMA vector backend on this build/CPU";
+  for (const int f : {4, 8}) {
+    const int n = 56;
+    nl::grid2d g(n, static_cast<double>(f) / n);
+    nl::stencil st(g, nl::influence{});
+    nl::stencil_plan plan(st);
+    const auto u = random_field(g, 93 + f);
+    const double c = 1.3;
+    auto rects = narrow_rects(n);
+    rects.push_back({0, n, 0, n});  // wide bodies too
+    for (const auto& rect : rects) {
+      if (avx512)
+        expect_rect_bitwise(g,
+                            apply_backend(g, plan, c, u, rect, nl::kernel_backend::avx512),
+                            chain_reference(g, plan, c, u, rect, true), rect,
+                            "class-order chain", nl::kernel_backend::avx512);
+      if (avx2)
+        expect_rect_bitwise(g, apply_backend(g, plan, c, u, rect, nl::kernel_backend::simd),
+                            chain_reference(g, plan, c, u, rect, false), rect,
+                            "natural-order chain", nl::kernel_backend::simd);
+    }
   }
 }
 

@@ -6,6 +6,7 @@
 #include <limits>
 #include <random>
 #include <thread>
+#include <vector>
 
 #include "amt/counters.hpp"
 #include "net/comm_world.hpp"
@@ -245,6 +246,45 @@ TEST(Mailbox, MultipleWaiters) {
   EXPECT_EQ(read_payload(f1.get()), 10);
   EXPECT_EQ(read_payload(f2.get()), 20);
   EXPECT_EQ(mb.pending_receives(), 0u);
+}
+
+TEST(Mailbox, DrainedTagsLeaveNoState) {
+  // The distributed solver uses a fresh tag per (step, SD, direction), so a
+  // key must not outlive its last message in either arrival order.
+  net::mailbox mb;
+  constexpr int n_tags = 500;
+  for (int t = 0; t < n_tags; ++t) {  // deliver first
+    mb.deliver(t % 3, static_cast<std::uint64_t>(t), make_payload(t));
+    EXPECT_EQ(read_payload(mb.recv(t % 3, static_cast<std::uint64_t>(t)).get()), t);
+  }
+  EXPECT_EQ(mb.tracked_tags(), 0u);
+  std::vector<nlh::amt::future<net::byte_buffer>> futs;
+  for (int t = 0; t < n_tags; ++t)  // recv first, all parked at once
+    futs.push_back(mb.recv(1, 1000 + static_cast<std::uint64_t>(t)));
+  EXPECT_EQ(mb.tracked_tags(), static_cast<std::size_t>(n_tags));
+  for (int t = 0; t < n_tags; ++t)
+    mb.deliver(1, 1000 + static_cast<std::uint64_t>(t), make_payload(t));
+  for (int t = 0; t < n_tags; ++t) EXPECT_EQ(read_payload(futs[t].get()), t);
+  EXPECT_EQ(mb.tracked_tags(), 0u);
+  EXPECT_EQ(mb.pending_messages(), 0u);
+  EXPECT_EQ(mb.pending_receives(), 0u);
+}
+
+TEST(Mailbox, KeyStaysUntilItsQueueDrains) {
+  net::mailbox mb;
+  mb.deliver(0, 9, make_payload(1));
+  mb.deliver(0, 9, make_payload(2));
+  EXPECT_EQ(read_payload(mb.recv(0, 9).get()), 1);
+  EXPECT_EQ(mb.tracked_tags(), 1u);
+  EXPECT_EQ(read_payload(mb.recv(0, 9).get()), 2);
+  auto f1 = mb.recv(0, 9);
+  auto f2 = mb.recv(0, 9);
+  mb.deliver(0, 9, make_payload(3));
+  EXPECT_EQ(mb.tracked_tags(), 1u);
+  mb.deliver(0, 9, make_payload(4));
+  EXPECT_EQ(mb.tracked_tags(), 0u);
+  EXPECT_EQ(read_payload(f1.get()), 3);
+  EXPECT_EQ(read_payload(f2.get()), 4);
 }
 
 TEST(Mailbox, CrossThreadDelivery) {

@@ -201,6 +201,46 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values("scalar", "row_run", "simd", "avx512"),
                        ::testing::Values(0, 1, 2)));
 
+// ------------------------------- SD-sized rects through the facade ----
+
+// The paper's regime: 16- and 24-DP SDs at eps 4, where every interior and
+// strip rect is narrower than the avx512 backend's 32-column body, so the
+// vector backends run their masked narrow bodies for the whole step. The
+// facade's distributed solve must still reproduce its serial solve bit
+// for bit.
+using SdSizeParam = std::tuple<std::string, int>;
+
+class SdSizedRectEquivalence : public ::testing::TestWithParam<SdSizeParam> {};
+
+TEST_P(SdSizedRectEquivalence, DistributedMatchesSerialBitwise) {
+  const auto [backend_name, sd_grid] = GetParam();
+  api::session_options opt;
+  opt.scenario = "gaussian_pulse";
+  opt.n = 48;
+  opt.sd_grid = sd_grid;  // 48 / 3 = 16-DP SDs, 48 / 2 = 24-DP SDs
+  opt.epsilon_factor = 4;
+  opt.nodes = 2;
+  opt.threads_per_locality = 2;
+  opt.kernel_backend = backend_name;
+  constexpr int steps = 3;
+
+  opt.mode = api::execution_mode::serial;
+  api::session serial(opt);
+  serial.solver().run(steps);
+  opt.mode = api::execution_mode::distributed;
+  api::session dist_session(opt);
+  dist_session.solver().run(steps);
+
+  EXPECT_GT(dist_session.solver().ghost_bytes(), 0u);
+  expect_bitwise_equal(serial.solver().grid(), serial.solver().field(),
+                       dist_session.solver().field());
+}
+
+INSTANTIATE_TEST_SUITE_P(VectorBackends, SdSizedRectEquivalence,
+                         ::testing::Combine(::testing::Values("row_run", "simd",
+                                                              "avx512"),
+                                            ::testing::Values(3, 2)));
+
 // -------------------------------------- plan invalidation via migrations ----
 
 class MigrationBackendEquivalence : public ::testing::TestWithParam<std::string> {};
