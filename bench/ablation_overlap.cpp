@@ -8,12 +8,11 @@
 ///    runtime in the simulator.
 /// 2. A **real-solver** guard: the actual dist_solver stepping under
 ///    injected wall-clock network latency (net::comm_world's delay model),
-///    comparing the bulk_sync / coarse / per_direction schedules
+///    comparing the coarse (overlapped) and bulk_sync schedules
 ///    head-to-head. Writes BENCH_overlap.json and exits non-zero unless
-///    the per-direction schedule holds its gate: at the high-latency
-///    points (1e-3 s, 1e-2 s) it must not lose to the coarse when_all
-///    schedule, and it must never regress the bulk-synchronous baseline,
-///    each within a noise tolerance. Set NLH_BENCH_OVERLAP_JSON to
+///    the coarse schedule never regresses the bulk-synchronous baseline
+///    beyond a noise tolerance (10% at the 1e-3 s / 1e-2 s latency
+///    points, 25% at zero latency). Set NLH_BENCH_OVERLAP_JSON to
 ///    redirect the report (default: ./BENCH_overlap.json).
 ///
 
@@ -31,8 +30,7 @@
 namespace {
 
 /// Deterministic per-message latency jitter in [0.6, 1.4) x base — spreads
-/// the arrivals so per-direction chaining has something to exploit, the
-/// way real interconnects stagger messages.
+/// the arrivals the way real interconnects stagger messages.
 double jittered(double base, std::uint64_t tag) {
   const std::uint64_t h = (tag * 2654435761ull) >> 16;
   return base * (0.6 + 0.8 * static_cast<double>(h % 1024) / 1024.0);
@@ -45,44 +43,38 @@ struct real_run {
 };
 
 /// Wall-clock seconds for `steps` real dist_solver steps under `sched` with
-/// `latency` seconds of injected per-message delivery delay (0 = inline).
-/// Best of `reps` repetitions, fresh solver each rep (cold plan compiled on
-/// the warm-up step, so the measured loop runs the cached plan).
+/// `latency` seconds of injected per-message delivery delay (0 = inline),
+/// on a fresh solver (cold plan compiled on the warm-up step, so the
+/// measured loop runs the cached plan).
 real_run run_real_solver(nlh::dist::overlap_schedule sched, double latency,
-                         int steps, int reps) {
+                         int steps) {
   using namespace nlh;
-  real_run best;
-  best.seconds = 1e100;
-  for (int r = 0; r < reps; ++r) {
-    dist::dist_config cfg;
-    cfg.sd_rows = cfg.sd_cols = 4;
-    cfg.sd_size = 48;
-    cfg.epsilon_factor = 6;
-    cfg.threads_per_locality = 1;
-    cfg.schedule = sched;
-    cfg.backend = nonlocal::kernel_backend::row_run;  // deterministic across hosts
-    const dist::tiling t(4, 4, 48, 6);
-    dist::dist_solver solver(cfg, bench::block_ownership(t, 4));
-    solver.set_initial_condition();
-    if (latency > 0.0)
-      solver.comm().set_delay_model([latency](int, int, std::uint64_t tag) {
-        return jittered(latency, tag);
-      });
+  dist::dist_config cfg;
+  cfg.sd_rows = cfg.sd_cols = 4;
+  cfg.sd_size = 48;
+  cfg.epsilon_factor = 6;
+  cfg.threads_per_locality = 1;
+  cfg.schedule = sched;
+  cfg.backend = nonlocal::kernel_backend::row_run;  // deterministic across hosts
+  const dist::tiling t(4, 4, 48, 6);
+  dist::dist_solver solver(cfg, bench::block_ownership(t, 4));
+  solver.set_initial_condition();
+  if (latency > 0.0)
+    solver.comm().set_delay_model([latency](int, int, std::uint64_t tag) {
+      return jittered(latency, tag);
+    });
 
-    solver.step();  // warm-up: plan compile, pool spin-up, buffer pools
-    const auto s0 = solver.stats();
-    support::stopwatch sw;
-    solver.run(steps);
-    const double elapsed = sw.elapsed_s();
-    const auto s1 = solver.stats();
-    if (elapsed < best.seconds) {
-      best.seconds = elapsed;
-      best.early_tasks = (s1.interior_early + s1.strips_early) -
-                         (s0.interior_early + s0.strips_early);
-      best.wait_seconds = s1.wait_seconds - s0.wait_seconds;
-    }
-  }
-  return best;
+  solver.step();  // warm-up: plan compile, pool spin-up, buffer pools
+  const auto s0 = solver.stats();
+  support::stopwatch sw;
+  solver.run(steps);
+  real_run run;
+  run.seconds = sw.elapsed_s();
+  const auto s1 = solver.stats();
+  run.early_tasks =
+      (s1.interior_early + s1.strips_early) - (s0.interior_early + s0.strips_early);
+  run.wait_seconds = s1.wait_seconds - s0.wait_seconds;
+  return run;
 }
 
 }  // namespace
@@ -126,70 +118,68 @@ int main() {
   // ---- Part 2: real-solver schedule guard ------------------------------
   std::cout << "\nReal-solver schedule comparison (4x4 SDs of 48x48 DPs, "
                "ghost 6, 4 localities,\nrow_run kernel, jittered injected "
-               "latency; best of 3 x 8 steps):\n\n";
+               "latency; best of 5 interleaved reps x 8 steps):\n\n";
 
+  constexpr int reps = 5;
   struct point {
     double latency;
-    real_run bulk, coarse, perdir;
+    real_run bulk, coarse;
   };
   std::vector<point> points;
   for (double latency : {0.0, 1e-3, 1e-2}) {
     const int msteps = latency >= 1e-2 ? 6 : 8;
     point p;
     p.latency = latency;
-    p.bulk = run_real_solver(dist::overlap_schedule::bulk_sync, latency, msteps, 3);
-    p.coarse = run_real_solver(dist::overlap_schedule::coarse, latency, msteps, 3);
-    p.perdir =
-        run_real_solver(dist::overlap_schedule::per_direction, latency, msteps, 3);
+    // Best of `reps` per schedule, the two schedules' reps interleaved so
+    // a load spike on the host hits both rather than one.
+    auto keep_best = [](real_run& best, const real_run& run) {
+      if (run.seconds < best.seconds) best = run;
+    };
+    p.bulk.seconds = p.coarse.seconds = 1e100;
+    for (int r = 0; r < reps; ++r) {
+      keep_best(p.bulk, run_real_solver(dist::overlap_schedule::bulk_sync, latency, msteps));
+      keep_best(p.coarse, run_real_solver(dist::overlap_schedule::coarse, latency, msteps));
+    }
     // Normalize to per-step seconds so the points are comparable.
     p.bulk.seconds /= msteps;
     p.coarse.seconds /= msteps;
-    p.perdir.seconds /= msteps;
     points.push_back(p);
   }
 
   support::table rtab({"latency", "bulk_sync s/step", "coarse s/step",
-                       "per_direction s/step", "pd vs coarse", "pd vs bulk"});
+                       "coarse vs bulk"});
   for (const auto& p : points)
     rtab.row()
         .add(support::fmt_double(p.latency * 1e3, 3) + " ms")
         .add(p.bulk.seconds, 6)
         .add(p.coarse.seconds, 6)
-        .add(p.perdir.seconds, 6)
-        .add(support::fmt_double(p.coarse.seconds / p.perdir.seconds, 3) + "x")
-        .add(support::fmt_double(p.bulk.seconds / p.perdir.seconds, 3) + "x");
+        .add(support::fmt_double(p.bulk.seconds / p.coarse.seconds, 3) + "x");
   rtab.print(std::cout);
 
-  // Gate: per_direction must hold coarse at the high-latency points and
-  // never regress bulk_sync. Tolerances are sized for shared CI runners
-  // (oversubscribed vCPUs, best-of-3 over a handful of steps): 10% at the
-  // latency points, where the schedules genuinely separate (pd beats
-  // bulk_sync by 14-22% on an idle machine); 25% at zero latency, where
-  // the whole step is sub-10ms of pure task overhead and the comparison
-  // measures scheduler noise, not communication hiding.
+  // Gate: the overlapped coarse schedule must never regress bulk_sync.
+  // Tolerances are sized for shared CI runners (oversubscribed vCPUs,
+  // best-of-5 over a handful of steps): 10% at the latency points, where
+  // the schedules genuinely separate; 25% at zero latency, where the whole
+  // step is sub-10ms of pure task overhead and the comparison measures
+  // scheduler noise, not communication hiding.
   constexpr double tol = 1.10;
   constexpr double tol_zero = 1.25;
   bool pass = true;
   std::string rows;
   for (const auto& p : points) {
     const bool high_latency = p.latency >= 1e-3;
-    const bool beats_coarse = p.perdir.seconds <= p.coarse.seconds * tol;
-    const bool beats_bulk =
-        p.perdir.seconds <= p.bulk.seconds * (high_latency ? tol : tol_zero);
-    if (high_latency && !beats_coarse) pass = false;
-    if (!beats_bulk) pass = false;
+    if (p.coarse.seconds > p.bulk.seconds * (high_latency ? tol : tol_zero))
+      pass = false;
 
     char row[512];
     std::snprintf(row, sizeof(row),
                   "    {\"latency_s\": %g, \"bulk_sync_s_per_step\": %.6f, "
-                  "\"coarse_s_per_step\": %.6f, \"per_direction_s_per_step\": "
-                  "%.6f, \"pd_vs_coarse\": %.3f, \"pd_vs_bulk\": %.3f, "
-                  "\"pd_early_tasks\": %llu, \"pd_wait_seconds\": %.4f}",
-                  p.latency, p.bulk.seconds, p.coarse.seconds, p.perdir.seconds,
-                  p.coarse.seconds / p.perdir.seconds,
-                  p.bulk.seconds / p.perdir.seconds,
-                  static_cast<unsigned long long>(p.perdir.early_tasks),
-                  p.perdir.wait_seconds);
+                  "\"coarse_s_per_step\": %.6f, \"coarse_vs_bulk\": %.3f, "
+                  "\"coarse_early_tasks\": %llu, \"coarse_wait_seconds\": %.4f}",
+                  p.latency, p.bulk.seconds, p.coarse.seconds,
+                  p.bulk.seconds / p.coarse.seconds,
+                  static_cast<unsigned long long>(p.coarse.early_tasks),
+                  p.coarse.wait_seconds);
     if (!rows.empty()) rows += ",\n";
     rows += row;
   }
@@ -206,20 +196,19 @@ int main() {
                "  \"bench\": \"ablation_overlap\",\n"
                "  \"config\": {\"sd_grid\": 4, \"sd_size\": 48, \"ghost\": 6, "
                "\"nodes\": 4, \"backend\": \"row_run\"},\n"
-               "  \"gate\": \"per_direction <= coarse * %.2f and <= bulk_sync * "
-               "%.2f at latency >= 1e-3; <= bulk_sync * 1.25 at zero latency\",\n"
+               "  \"gate\": \"coarse <= bulk_sync * %.2f at latency >= 1e-3; "
+               "<= bulk_sync * %.2f at zero latency\",\n"
                "  \"pass\": %s,\n"
                "  \"results\": [\n%s\n  ]\n"
                "}\n",
-               tol, tol, pass ? "true" : "false", rows.c_str());
+               tol, tol_zero, pass ? "true" : "false", rows.c_str());
   std::fclose(fp);
 
   std::cout << "\nTakeaway: at realistic interconnect latencies the overlap "
                "fully hides the exchange;\nas latency grows, the "
                "bulk-synchronous schedule pays it on the critical path every "
-               "step\nwhile the asynchronous schedules keep computing — and "
-               "the per-direction schedule\nstarts each boundary strip the "
-               "moment its own ghost lands (paper §6.3, docs/overlap.md).\n"
+               "step\nwhile the coarse schedule keeps computing case-2 "
+               "interiors (paper §6.3, docs/overlap.md).\n"
             << "\n  guard " << (pass ? "PASS" : "FAIL") << " -> " << path << "\n";
   return pass ? 0 : 1;
 }

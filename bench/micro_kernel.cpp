@@ -13,7 +13,7 @@
 /// large-stencil regime (eps >= 8) on a grid big enough that the input
 /// window leaves L1d. The shape sweep times row_run / simd / avx512 on the
 /// rects the distributed solver issues (square widths 8-192 and a 24-DP
-/// SD's interior and fine strips, eps 4 and 8) and gates the best
+/// SD's interior and case-1 strips, eps 4 and 8) and gates the best
 /// available backend: >= row_run on every shape, and >= 50% of its own
 /// 192-wide rate at widths >= 16. The process exits non-zero unless every
 /// fence holds.
@@ -345,9 +345,9 @@ struct sweep_shape {
 };
 
 /// The shapes the solver issues at stencil reach `reach`: the square width
-/// sweep, plus the case-2 interior and the distinct fine-strip shapes of
+/// sweep, plus the case-2 interior and the distinct case-1 strip shapes of
 /// the centre SD of a 3x3 tiling of 24-DP SDs, one SD per locality (so
-/// every strip of that SD waits on a ghost), in SD-local coordinates on an
+/// every margin of that SD waits on a ghost), in SD-local coordinates on an
 /// SD-sized block exactly as dist_solver applies them.
 std::vector<sweep_shape> sweep_shapes(int reach) {
   std::vector<sweep_shape> shapes;
@@ -360,12 +360,12 @@ std::vector<sweep_shape> sweep_shapes(int reach) {
   const auto plan = nlh::dist::compile_step_plan(tl, own);
   const auto& sd = plan.sds[static_cast<std::size_t>(tl.sd_at(1, 1))];
   shapes.push_back({"sd24_interior", sd_size, sd.split.interior});
-  for (const auto& strip : sd.strips) {
+  for (const auto& strip : sd.split.remote_strips) {
     const bool seen = std::any_of(shapes.begin(), shapes.end(), [&](const auto& s) {
-      return s.kind == "sd24_strip" && s.rect.rows() == strip.rect.rows() &&
-             s.rect.cols() == strip.rect.cols();
+      return s.kind == "sd24_strip" && s.rect.rows() == strip.rows() &&
+             s.rect.cols() == strip.cols();
     });
-    if (!seen) shapes.push_back({"sd24_strip", sd_size, strip.rect});
+    if (!seen) shapes.push_back({"sd24_strip", sd_size, strip});
   }
   return shapes;
 }

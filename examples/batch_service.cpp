@@ -8,7 +8,7 @@
 /// Usage: batch_service [--n 32] [--eps-factor 2] [--steps 5] [--sd-grid 4]
 ///                      [--nodes 2] [--pool-threads 4] [--cap 3]
 ///                      [--policy fifo|priority]
-///                      [--schedule bulk_sync|coarse|per_direction]
+///                      [--schedule coarse|bulk_sync]
 ///                      [--json PATH] [--soak]
 ///                      [--auto-rebalance] [--hibernate] [--resident-cap 3]
 ///                      [--rounds N] [--trace-out PATH] [--metrics-out PATH]
@@ -260,10 +260,9 @@ int main(int argc, char** argv) try {
   // (session_options carries it by name; dist/dist_solver.hpp).
   const nlh::dist::overlap_schedule sched =
       cli.get_enum<nlh::dist::overlap_schedule>(
-          "schedule", nlh::dist::overlap_schedule::per_direction,
-          {{"bulk_sync", nlh::dist::overlap_schedule::bulk_sync},
-           {"coarse", nlh::dist::overlap_schedule::coarse},
-           {"per_direction", nlh::dist::overlap_schedule::per_direction}});
+          "schedule", nlh::dist::overlap_schedule::coarse,
+          {{"coarse", nlh::dist::overlap_schedule::coarse},
+           {"bulk_sync", nlh::dist::overlap_schedule::bulk_sync}});
   const std::string schedule_name = nlh::dist::overlap_schedule_name(sched);
   if (hibernate) {
     bopt.hibernation.enabled = true;

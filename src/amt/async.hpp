@@ -38,37 +38,6 @@ auto async(thread_pool& pool, F&& fn, Args&&... args)
   return fut;
 }
 
-/// Single-dependency dataflow: run `fn(ready)` on `pool` once `dep` is
-/// ready. This is the hop the per-direction ghost schedule uses to move
-/// each unpack continuation off the delivering thread onto the owner's
-/// pool — one future, one continuation, no when_all/vector machinery.
-template <class T, class F>
-auto dataflow_one(thread_pool& pool, future<T> dep, F&& fn)
-    -> future<std::invoke_result_t<std::decay_t<F>, future<T>>> {
-  using R = std::invoke_result_t<std::decay_t<F>, future<T>>;
-  promise<R> p;
-  auto out = p.get_future();
-  auto state = dep.state();
-  NLH_ASSERT(state != nullptr);
-  state->add_continuation(
-      [&pool, state, p = std::move(p), fn = std::forward<F>(fn)]() mutable {
-        pool.post([state = std::move(state), p = std::move(p),
-                   fn = std::move(fn)]() mutable {
-          try {
-            if constexpr (std::is_void_v<R>) {
-              fn(future<T>(std::move(state)));
-              p.set_value();
-            } else {
-              p.set_value(fn(future<T>(std::move(state))));
-            }
-          } catch (...) {
-            p.set_exception(std::current_exception());
-          }
-        });
-      });
-  return out;
-}
-
 /// dataflow: run `fn` on `pool` once every future in `deps` is ready.
 /// The callable receives the vector of ready futures.
 template <class T, class F>

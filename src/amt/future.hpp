@@ -11,10 +11,8 @@
 /// "ghost data arrived -> compute case-1 DPs" without idling a worker.
 ///
 
-#include <atomic>
 #include <condition_variable>
 #include <exception>
-#include <initializer_list>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -272,39 +270,6 @@ future<std::vector<future<T>>> when_all(std::vector<future<T>> fs) {
 template <class T>
 void wait_all(const std::vector<future<T>>& fs) {
   for (const auto& f : fs) f.wait();
-}
-
-/// Completion-only fan-in over a small fixed set of void futures: the
-/// returned future becomes ready once every input has completed. Values and
-/// exceptions stay with the inputs (callers that care must get() them) —
-/// this is a pure readiness gate. The per-direction overlap schedule chains
-/// corner strips on their two or three ghost arrivals through this without
-/// the when_all vector round-trip; a lock-free counter replaces the
-/// mutex + future-vector machinery.
-inline future<void> when_all_ready(const future<void>* fs, std::size_t n) {
-  struct ctx {
-    std::atomic<int> pending{0};
-    promise<void> done;
-  };
-  auto c = std::make_shared<ctx>();
-  c->pending.store(static_cast<int>(n), std::memory_order_relaxed);
-  auto result = c->done.get_future();
-  if (n == 0) {
-    c->done.set_value();
-    return result;
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    NLH_ASSERT(fs[i].valid());
-    fs[i].state()->add_continuation([c] {
-      if (c->pending.fetch_sub(1, std::memory_order_acq_rel) == 1)
-        c->done.set_value();
-    });
-  }
-  return result;
-}
-
-inline future<void> when_all_ready(std::initializer_list<future<void>> fs) {
-  return when_all_ready(fs.begin(), fs.size());
 }
 
 }  // namespace nlh::amt

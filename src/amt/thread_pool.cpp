@@ -29,7 +29,12 @@ thread_pool::thread_pool(unsigned num_threads, int locality) : locality_(localit
 }
 
 thread_pool::~thread_pool() {
-  stop_.store(true, std::memory_order_release);
+  {
+    // Under the sleep lock, so no worker sits between its stop_ check and
+    // its wait when the notify fires.
+    std::lock_guard lk(sleep_m_);
+    stop_.store(true, std::memory_order_release);
+  }
   work_cv_.notify_all();
   for (auto& w : workers_) w.join();
   if (locality_ >= 0)
@@ -46,7 +51,16 @@ void thread_pool::post(unique_function<void()> task) {
     std::lock_guard lk(inject_m_);
     inject_.push_back(std::move(task));
   }
-  work_cv_.notify_one();
+  // The queue push above and a parking worker's sleepers_ increment are
+  // ordered through that queue's mutex: either the worker's re-check under
+  // sleep_m_ sees the task, or this load sees the worker. Passing through
+  // sleep_m_ before notifying means that worker is already waiting, not
+  // between its re-check and its wait; notifying after the unlock lets it
+  // wake without blocking on the lock again.
+  if (sleepers_.load(std::memory_order_seq_cst) > 0) {
+    { std::lock_guard lk(sleep_m_); }
+    work_cv_.notify_one();
+  }
 }
 
 bool thread_pool::try_pop_local(unsigned index, unique_function<void()>& out) {
@@ -78,6 +92,18 @@ bool thread_pool::try_pop_inject(unique_function<void()>& out) {
   out = std::move(inject_.front());
   inject_.pop_front();
   return true;
+}
+
+bool thread_pool::has_queued_work() {
+  {
+    std::lock_guard lk(inject_m_);
+    if (!inject_.empty()) return true;
+  }
+  for (auto& wq : queues_) {
+    std::lock_guard lk(wq->m);
+    if (!wq->q.empty()) return true;
+  }
+  return false;
 }
 
 bool thread_pool::try_help_one() {
@@ -146,9 +172,14 @@ void thread_pool::worker_loop(unsigned index) {
     }
     if (stop_.load(std::memory_order_acquire)) return;
     std::unique_lock lk(sleep_m_);
-    // Re-check under the lock to avoid missing a notify between the empty
-    // poll above and the wait below.
-    work_cv_.wait_for(lk, std::chrono::milliseconds(1));
+    // Announce the park, then re-check under the lock: a post() that landed
+    // after the empty poll above is either seen here or sees sleepers_ and
+    // notifies once this worker is waiting (see post()).
+    sleepers_.fetch_add(1, std::memory_order_seq_cst);
+    work_cv_.wait(lk, [this] {
+      return stop_.load(std::memory_order_acquire) || has_queued_work();
+    });
+    sleepers_.fetch_sub(1, std::memory_order_relaxed);
   }
 }
 

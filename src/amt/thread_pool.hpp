@@ -89,6 +89,8 @@ class thread_pool {
   /// Execute one queued task if any is available (used by helping waits,
   /// callable from any thread). Returns false when all queues were empty.
   bool try_help_one();
+  /// Any task queued anywhere in the pool (inject queue or a worker deque).
+  bool has_queued_work();
   void run_task(unique_function<void()> task);
 
   std::vector<std::unique_ptr<worker_queue>> queues_;
@@ -96,6 +98,10 @@ class thread_pool {
   std::deque<unique_function<void()>> inject_;
   std::condition_variable work_cv_;
   std::mutex sleep_m_;
+  /// Workers parked (or about to park) on work_cv_. post() only takes
+  /// sleep_m_ to notify when this is non-zero, so posting to a busy pool
+  /// never touches the sleep lock.
+  std::atomic<int> sleepers_{0};
 
   std::vector<std::thread> workers_;
   std::atomic<bool> stop_{false};

@@ -207,7 +207,6 @@ class dist_impl final : public solver_impl {
     cfg.dt_safety = o.dt_safety;
     cfg.kind = o.kind;
     cfg.threads_per_locality = o.threads_per_locality;
-    cfg.overlap_communication = o.overlap_communication;
     // Validation already rejected unknown names.
     if (const auto s = dist::parse_overlap_schedule(o.overlap_schedule))
       cfg.schedule = *s;
@@ -632,7 +631,7 @@ std::vector<std::string> session::validate_resolved(const session_options& opt,
       std::ostringstream m;
       m << "session_options.overlap_schedule: unknown schedule '"
         << opt.overlap_schedule
-        << "'; valid: per_direction, coarse, bulk_sync";
+        << "'; valid: coarse, bulk_sync";
       err(m);
     }
     if (opt.integrator != nonlocal::time_integrator::forward_euler) {

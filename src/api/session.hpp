@@ -87,12 +87,10 @@ struct session_options {
   int sd_grid = 4;   ///< SDs per dimension; n must divide evenly
   int nodes = 2;     ///< localities
   int threads_per_locality = 1;
-  bool overlap_communication = true;
-  /// Ghost-exchange schedule: "per_direction" (default — each case-1 strip
-  /// waits only on the ghost arrivals it reads), "coarse" (all of an SD's
-  /// strips gate on all of its ghosts) or "bulk_sync" (no hiding).
-  /// `overlap_communication = false` forces bulk_sync (docs/overlap.md).
-  std::string overlap_schedule = "per_direction";
+  /// Ghost-exchange schedule: "coarse" (default — case-2 interiors compute
+  /// while ghosts are in flight, and all of an SD's case-1 strips gate on
+  /// all of its ghosts) or "bulk_sync" (no hiding; docs/overlap.md).
+  std::string overlap_schedule = "coarse";
   partition_strategy partitioner = partition_strategy::multilevel;
   /// Live Algorithm 1 auto-rebalancing (docs/balance.md): when enabled the
   /// distributed solver samples per-locality busy time every
@@ -151,7 +149,7 @@ struct runtime_metrics {
   std::uint64_t ghost_bytes = 0; ///< serialized ghost traffic (0 serial)
   std::string kernel_backend;    ///< this handle's resolved backend name
   /// Ghost-exchange schedule the solver executes ("serial" for the serial
-  /// backend; else "bulk_sync" / "coarse" / "per_direction").
+  /// backend; else "coarse" / "bulk_sync").
   std::string overlap_schedule;
   /// Wall time the stepping thread spent blocked in the end-of-step drain,
   /// waiting on ghost-dependent work (0 serial). High values mean

@@ -1,7 +1,7 @@
 ///
 /// \file dist_solver.cpp
 /// \brief Implementation of the asynchronous distributed solver: the cached
-/// step_plan, per-direction futurized ghost exchange, case-1/case-2 compute
+/// step_plan, futurized ghost exchange, case-1/case-2 compute
 /// tasks (through the compiled kernel plan), SD migration and
 /// checkpoint/restore.
 ///
@@ -27,7 +27,6 @@ const char* overlap_schedule_name(overlap_schedule s) {
   switch (s) {
     case overlap_schedule::bulk_sync: return "bulk_sync";
     case overlap_schedule::coarse: return "coarse";
-    case overlap_schedule::per_direction: return "per_direction";
   }
   return "unknown";
 }
@@ -35,7 +34,6 @@ const char* overlap_schedule_name(overlap_schedule s) {
 std::optional<overlap_schedule> parse_overlap_schedule(const std::string& name) {
   if (name == "bulk_sync") return overlap_schedule::bulk_sync;
   if (name == "coarse") return overlap_schedule::coarse;
-  if (name == "per_direction") return overlap_schedule::per_direction;
   return std::nullopt;
 }
 
@@ -195,10 +193,9 @@ void dist_solver::release_buffer(net::byte_buffer buf) {
 
 void dist_solver::unpack_ghost(int sd, direction d, net::byte_buffer buf) {
   NLH_TRACE_SPAN_ARG("dist/unpack", static_cast<std::uint64_t>(sd));
-  // Per-(SD, direction) scratch: under the per-direction schedule two
-  // ghosts of one SD may unpack concurrently on different workers.
-  auto& strip =
-      unpack_scratch_[static_cast<std::size_t>(sd)][static_cast<std::size_t>(d)];
+  // Per-SD scratch: one task (or the stepping thread) unpacks all of an
+  // SD's ghosts in order, so they never touch it concurrently.
+  auto& strip = unpack_scratch_[static_cast<std::size_t>(sd)];
   net::archive_reader r(buf);
   r.read_vector_into(strip);
   blocks_[static_cast<std::size_t>(sd)]->unpack(tiling_, d, strip);
@@ -280,9 +277,6 @@ void dist_solver::metrics_into(obs::metrics_snapshot& snap) const {
   // reported as all-zero.
   if (!plan_dirty_) {
     snap.add_gauge("dist/plan/messages", static_cast<double>(plan_.total_messages));
-    snap.add_gauge("dist/plan/strips", static_cast<double>(plan_.total_strips));
-    snap.add_gauge("dist/plan/ready_strips",
-                   static_cast<double>(plan_.total_ready_strips));
     snap.add_gauge("dist/plan/local_fills",
                    static_cast<double>(plan_.total_local_fills));
     snap.add_gauge("dist/plan/boundary_sds",
@@ -318,8 +312,6 @@ void dist_solver::ensure_plan() {
                     static_cast<std::uint64_t>(plan_.total_messages));
   recv_slots_.assign(static_cast<std::size_t>(plan_.total_messages),
                      amt::future<net::byte_buffer>{});
-  ghost_ready_.assign(static_cast<std::size_t>(plan_.total_messages),
-                      amt::future<void>{});
   plan_dirty_ = false;
 }
 
@@ -397,25 +389,13 @@ void dist_solver::step() {
   aux_pending_.clear();
 
   // 1. Futurized receives from the cached message table (parking a promise
-  // in the destination mailbox — no task is spent). Under the
-  // per-direction schedule each arrival immediately gets its unpack
-  // continuation, hopped onto the owner's pool, so the collar side fills
-  // the moment its message lands; the other schedules keep the raw payload
-  // future and drain later.
+  // in the destination mailbox — no task is spent); the payload futures
+  // are consumed by the strip tasks (coarse) or the drain (bulk_sync).
   for (int sd = 0; sd < tiling_.num_sds(); ++sd) {
     const int dst = own_.owner(sd);
-    for (const auto& rv : plan_.sds[static_cast<std::size_t>(sd)].recvs) {
-      auto fut = comm_.recv(dst, rv.src_locality, ghost_tag(step_, rv.tag_base));
-      if (sched == overlap_schedule::per_direction) {
-        ghost_ready_[static_cast<std::size_t>(rv.slot)] = amt::dataflow_one(
-            *pools_[static_cast<std::size_t>(dst)], std::move(fut),
-            [this, sd, dir = rv.dir](amt::future<net::byte_buffer> ready) {
-              unpack_ghost(sd, dir, ready.get());
-            });
-      } else {
-        recv_slots_[static_cast<std::size_t>(rv.slot)] = std::move(fut);
-      }
-    }
+    for (const auto& rv : plan_.sds[static_cast<std::size_t>(sd)].recvs)
+      recv_slots_[static_cast<std::size_t>(rv.slot)] =
+          comm_.recv(dst, rv.src_locality, ghost_tag(step_, rv.tag_base));
   }
 
   // 2. Boundary-first posting: every pack/send task is enqueued before any
@@ -458,9 +438,9 @@ void dist_solver::step() {
         }));
   }
 
-  // 4. Same-locality collar fills: direct copies, no serialization. These
-  // write disjoint collar rectangles, so they may overlap with arriving
-  // unpacks of *other* directions.
+  // 4. Same-locality collar fills: direct copies, no serialization. They
+  // finish before any unpack is posted (the strip tasks below, or the
+  // bulk_sync drain) and write collars the pack tasks never read.
   for (int sd = 0; sd < tiling_.num_sds(); ++sd)
     for (const auto& [d, nb] : plan_.sds[static_cast<std::size_t>(sd)].local_fills)
       blocks_[static_cast<std::size_t>(sd)]->fill_from_local(
@@ -500,77 +480,35 @@ void dist_solver::step() {
       compute_rect_counted(sd, rect, t_now, stat_interior_early_);
     }));
 
-    switch (sched) {
-      case overlap_schedule::bulk_sync: {
-        if (sd_plan.split.remote_strips.empty()) break;
-        pending_.push_back(
-            amt::async(pool, [this, sd, &strips = sd_plan.split.remote_strips, t_now] {
-              NLH_TRACE_SPAN_ARG("dist/strip", static_cast<std::uint64_t>(sd));
-              for (const auto& rect : strips)
-                compute_rect_counted(sd, rect, t_now, stat_strips_early_);
-            }));
-        break;
-      }
-      case overlap_schedule::coarse: {
-        // Case 1, PR-1 style: all of this SD's strips gate on the arrival
-        // of all of its ghosts (amt::dataflow hops onto the owner's pool).
-        if (sd_plan.recvs.empty()) break;
-        std::vector<amt::future<net::byte_buffer>> futs;
-        std::vector<direction> dirs;
-        futs.reserve(sd_plan.recvs.size());
-        dirs.reserve(sd_plan.recvs.size());
-        for (const auto& rv : sd_plan.recvs) {
-          futs.push_back(std::move(recv_slots_[static_cast<std::size_t>(rv.slot)]));
-          dirs.push_back(rv.dir);
-        }
-        pending_.push_back(amt::dataflow(
-            pool, std::move(futs),
-            [this, sd, dirs = std::move(dirs), &strips = sd_plan.split.remote_strips,
-             t_now](std::vector<amt::future<net::byte_buffer>> ready) {
-              NLH_TRACE_SPAN_ARG("dist/strip", static_cast<std::uint64_t>(sd));
-              for (std::size_t i = 0; i < ready.size(); ++i)
-                unpack_ghost(sd, dirs[i], ready[i].get());
-              for (const auto& rect : strips)
-                compute_rect_counted(sd, rect, t_now, stat_strips_early_);
-            }));
-        break;
-      }
-      case overlap_schedule::per_direction: {
-        // Ready strips read no cross-locality collar: they run with the
-        // interior instead of waiting on any message.
-        for (const auto& rect : sd_plan.ready_strips)
-          pending_.push_back(amt::async(pool, [this, sd, rect, t_now] {
+    if (sched == overlap_schedule::bulk_sync) {
+      if (sd_plan.split.remote_strips.empty()) continue;
+      pending_.push_back(
+          amt::async(pool, [this, sd, &strips = sd_plan.split.remote_strips, t_now] {
             NLH_TRACE_SPAN_ARG("dist/strip", static_cast<std::uint64_t>(sd));
-            compute_rect_counted(sd, rect, t_now, stat_strips_early_);
+            for (const auto& rect : strips)
+              compute_rect_counted(sd, rect, t_now, stat_strips_early_);
           }));
-        // Case 1, per direction: each strip chains on exactly the unpack
-        // completions its halo reads — one `.then` for side strips, a
-        // small-N readiness gate for corners. The continuation runs inline
-        // on the worker that finished the last needed unpack (already on
-        // the owner's pool), so no extra task hop is paid.
-        for (const auto& strip : sd_plan.strips) {
-          auto compute = [this, sd, rect = strip.rect, t_now](amt::future<void>) {
-            NLH_TRACE_SPAN_ARG("dist/strip", static_cast<std::uint64_t>(sd));
-            compute_rect_counted(sd, rect, t_now, stat_strips_early_);
-          };
-          if (strip.dep_slots.size() == 1) {
-            auto dep = ghost_ready_[static_cast<std::size_t>(strip.dep_slots[0])];
-            pending_.push_back(dep.then(std::move(compute)));
-          } else {
-            std::array<amt::future<void>, num_directions> deps;
-            for (std::size_t i = 0; i < strip.dep_slots.size(); ++i)
-              deps[i] = ghost_ready_[static_cast<std::size_t>(strip.dep_slots[i])];
-            auto gate = amt::when_all_ready(deps.data(), strip.dep_slots.size());
-            pending_.push_back(gate.then(std::move(compute)));
-          }
-        }
-        // The unpacks themselves must complete before the field swap even
-        // when (in degenerate geometries) no waited strip reads them.
-        for (const auto& rv : sd_plan.recvs)
-          pending_.push_back(ghost_ready_[static_cast<std::size_t>(rv.slot)]);
-        break;
-      }
+      continue;
     }
+
+    // Case 1 (paper §6.3): all of this SD's strips gate on the arrival of
+    // all of its ghosts (amt::dataflow hops onto the owner's pool).
+    if (sd_plan.recvs.empty()) continue;
+    std::vector<amt::future<net::byte_buffer>> futs;
+    futs.reserve(sd_plan.recvs.size());
+    for (const auto& rv : sd_plan.recvs)
+      futs.push_back(std::move(recv_slots_[static_cast<std::size_t>(rv.slot)]));
+    // The plan outlives the step (it recompiles only between steps), so the
+    // task may read its receive table and strips by reference.
+    pending_.push_back(amt::dataflow(
+        pool, std::move(futs),
+        [this, sd, &sd_plan, t_now](std::vector<amt::future<net::byte_buffer>> ready) {
+          NLH_TRACE_SPAN_ARG("dist/strip", static_cast<std::uint64_t>(sd));
+          for (std::size_t i = 0; i < ready.size(); ++i)
+            unpack_ghost(sd, sd_plan.recvs[i].dir, ready[i].get());
+          for (const auto& rect : sd_plan.split.remote_strips)
+            compute_rect_counted(sd, rect, t_now, stat_strips_early_);
+        }));
   }
 
   // 5. End-of-step drain. The stall measured here is the per-step

@@ -12,13 +12,10 @@
 /// mailbox network, with pack/send tasks posted boundary-first so messages
 /// leave each locality before any compute is enqueued. Case-2 interior
 /// rectangles compute immediately while the messages are in flight; under
-/// the default per_direction schedule each case-1 strip is a continuation
-/// chained on exactly the ghost arrivals its epsilon-halo reads (side
-/// strips: one; corner strips: the two adjacent sides plus the diagonal),
-/// so an SD starts updating its north strip the moment the north ghost
-/// lands instead of waiting for the slowest of up to eight messages. The
-/// coarse schedule (`when_all(all ghosts).then(all strips)`, the PR-1
-/// behaviour) and the bulk_sync baseline remain selectable for ablation.
+/// the default coarse schedule (paper §6.3) each SD's case-1 strips run in
+/// one task chained on the arrival of all of its ghosts, which unpacks them
+/// in order and then computes the strips. The bulk_sync baseline drains
+/// every ghost before any compute and stays selectable for ablation.
 /// Per-locality busy-time counters feed Algorithm 1, `migrate_sd`
 /// implements its migration primitive, and checkpoint/restore snapshots
 /// step counter, ownership and fields into a self-contained byte buffer.
@@ -70,18 +67,16 @@ namespace nlh::dist {
 
 /// Task schedule of the ghost exchange (docs/overlap.md).
 enum class overlap_schedule {
-  /// Drain every ghost before any compute — no communication hiding.
+  /// Drain every ghost before any compute — no communication hiding; the
+  /// baseline the overlap gate compares against.
   bulk_sync,
-  /// Case-2 overlaps; all of an SD's case-1 strips gate on when_all over
-  /// all of its ghosts (the PR-1 schedule, kept as the ablation baseline).
+  /// Case-2 overlaps; all of an SD's case-1 strips gate on the arrival of
+  /// all of its ghosts (paper §6.3; the default).
   coarse,
-  /// Case-2 overlaps; each case-1 strip gates on exactly the ghost
-  /// arrivals its epsilon-halo reads (the default).
-  per_direction,
 };
 
 const char* overlap_schedule_name(overlap_schedule s);
-/// Parse "bulk_sync" / "coarse" / "per_direction"; nullopt on anything else.
+/// Parse "coarse" / "bulk_sync"; nullopt on anything else.
 std::optional<overlap_schedule> parse_overlap_schedule(const std::string& name);
 
 struct dist_config {
@@ -94,14 +89,8 @@ struct dist_config {
   double dt_safety = 0.5;
   nonlocal::influence_kind kind = nonlocal::influence_kind::constant;
   int threads_per_locality = 1;
-  /// false = bulk-synchronous baseline: wait for every ghost before any
-  /// compute. Same data exchanged, no communication hiding. Kept for
-  /// backward compatibility; false forces `schedule = bulk_sync`.
-  bool overlap_communication = true;
-  /// Which overlap schedule step() executes when overlap_communication is
-  /// true (see overlap_schedule; per_direction is the fastest and the
-  /// default, coarse and bulk_sync remain for ablation).
-  overlap_schedule schedule = overlap_schedule::per_direction;
+  /// Which ghost-exchange schedule step() executes (see overlap_schedule).
+  overlap_schedule schedule = overlap_schedule::coarse;
   /// Kernel backend this solver's plan is pinned to; nullopt keeps the
   /// plan following the process default (the historical behaviour).
   std::optional<nonlocal::kernel_backend> backend;
@@ -183,11 +172,8 @@ class dist_solver {
   /// migration traffic).
   std::uint64_t ghost_bytes() const { return ghost_bytes_.load(); }
 
-  /// The schedule step() actually executes (bulk_sync when
-  /// overlap_communication was disabled, else dist_config::schedule).
-  overlap_schedule schedule() const {
-    return cfg_.overlap_communication ? cfg_.schedule : overlap_schedule::bulk_sync;
-  }
+  /// The schedule step() executes (dist_config::schedule).
+  overlap_schedule schedule() const { return cfg_.schedule; }
 
   /// Snapshot of the cumulative overlap observables (see overlap_stats).
   overlap_stats stats() const;
@@ -299,21 +285,23 @@ class dist_solver {
   nonlocal::stencil_plan kernel_plan_;
   std::shared_ptr<const api::scenario> scenario_;
 
-  net::comm_world comm_;
+  /// Declared before comm_ so the pools outlive it: comm_'s destructor
+  /// joins the delayed-delivery timer thread, which may still be returning
+  /// from a post() into one of these pools after the last step drained.
   std::vector<std::unique_ptr<amt::thread_pool>> pools_;
+  net::comm_world comm_;
   std::vector<std::unique_ptr<sd_block>> blocks_;
   std::vector<std::vector<double>> lu_;  ///< per-SD L_h[u] scratch (padded)
   std::vector<double> w_field_;          ///< scenario aux field (global grid)
   std::vector<double> b_field_;          ///< scenario source scratch
 
-  // Pooled exchange buffers (ROADMAP ghost-strip pooling). Pack and unpack
-  // scratch are both per (SD, direction): the per-step pack tasks of one SD
-  // target distinct directions, and under the per-direction schedule two
-  // ghosts of one SD may unpack concurrently — a per-SD unpack strip would
-  // race. Serialized byte buffers recirculate through a mutex-guarded free
-  // list.
+  // Pooled exchange buffers. Pack scratch is per (SD, direction): the
+  // per-step pack tasks of one SD target distinct directions. Unpack
+  // scratch is per SD: one task (coarse) or the stepping thread
+  // (bulk_sync) unpacks all of an SD's ghosts in order. Serialized byte
+  // buffers recirculate through a mutex-guarded free list.
   std::vector<std::array<std::vector<double>, num_directions>> pack_scratch_;
-  std::vector<std::array<std::vector<double>, num_directions>> unpack_scratch_;
+  std::vector<std::vector<double>> unpack_scratch_;
   std::mutex buffer_pool_mu_;
   std::vector<net::byte_buffer> buffer_pool_;
 
@@ -331,7 +319,6 @@ class dist_solver {
   /// what the next step executes.
   std::unique_ptr<balance::auto_rebalancer> rebalancer_;
   std::vector<amt::future<net::byte_buffer>> recv_slots_;  ///< per message
-  std::vector<amt::future<void>> ghost_ready_;  ///< per message: unpack done
   std::vector<amt::future<void>> pending_;      ///< end-of-step drain set
   std::vector<amt::future<void>> aux_pending_;  ///< scenario aux-field fills
 

@@ -1,8 +1,7 @@
 ///
 /// \file step_plan.cpp
-/// \brief step_plan compilation: case splits, message tables and the
-/// per-direction strip dependency graph, resolved once per (tiling,
-/// ownership) pair.
+/// \brief step_plan compilation: case splits and message tables, resolved
+/// once per (tiling, ownership) pair.
 ///
 
 #include "dist/step_plan.hpp"
@@ -44,37 +43,10 @@ step_plan compile_step_plan(const tiling& t, const ownership_map& own) {
     }
 
     sched.split = compute_case_split(t, sd, own.raw());
-
-    // Refine the case-1 margins into per-direction strips and resolve each
-    // strip's direction set to the message slots posted above.
-    long long fine_area = 0;
-    for (auto& fine : compute_fine_strips(t, sd, own.raw())) {
-      fine_area += fine.rect.area();
-      if (fine.deps.empty()) {
-        sched.ready_strips.push_back(fine.rect);
-        continue;
-      }
-      plan_strip strip;
-      strip.rect = fine.rect;
-      strip.dep_slots.reserve(fine.deps.size());
-      for (const direction d : fine.deps)
-        for (const auto& rv : sched.recvs)
-          if (rv.dir == d) strip.dep_slots.push_back(rv.slot);
-      NLH_ASSERT_MSG(strip.dep_slots.size() == fine.deps.size(),
-                     "step_plan: a strip depends on a direction with no "
-                     "posted receive");
-      sched.strips.push_back(std::move(strip));
-    }
-    NLH_ASSERT_MSG(fine_area == sched.split.strip_dps(),
-                   "step_plan: fine strips must tile the coarse case-1 region");
-  }
-  plan.total_messages = slot;
-  for (const auto& sched : plan.sds) {
-    plan.total_strips += static_cast<int>(sched.strips.size());
-    plan.total_ready_strips += static_cast<int>(sched.ready_strips.size());
     plan.total_local_fills += static_cast<int>(sched.local_fills.size());
     if (sched.boundary) ++plan.boundary_sds;
   }
+  plan.total_messages = slot;
 
   plan.post_order.reserve(static_cast<std::size_t>(t.num_sds()));
   for (int sd = 0; sd < t.num_sds(); ++sd)

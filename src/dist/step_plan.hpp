@@ -5,10 +5,10 @@
 ///
 /// A step_plan is compiled once from (tiling, ownership) and reused every
 /// step until a migration or restore changes the ownership map: it caches
-/// each SD's case-1/case-2 split, its same-locality collar fills, its
-/// cross-locality message table (direction, peer locality, tag base) and
-/// the fine-grained per-direction strip dependency graph — everything
-/// dist_solver::step() used to recompute and re-allocate per step. Ghost
+/// each SD's case-1/case-2 split, its same-locality collar fills and its
+/// cross-locality message table (direction, peer locality, tag base) —
+/// everything dist_solver::step() used to recompute and re-allocate per
+/// step. Ghost
 /// tags are an affine function of the step counter (step * tag_stride +
 /// tag_base), so the cached bases stay valid for the plan's lifetime.
 ///
@@ -43,21 +43,11 @@ struct plan_send {
   std::uint64_t tag_base;  ///< the receiver's tag base (same message)
 };
 
-/// One case-1 strip with its ghost dependencies resolved to message slots.
-struct plan_strip {
-  nonlocal::dp_rect rect;
-  std::vector<int> dep_slots;  ///< slots of the ghosts whose collar it reads
-};
-
 /// The cached per-SD schedule.
 struct plan_sd {
   case_split split;  ///< coarse split (interior + full-margin strips)
   std::vector<std::pair<direction, int>> local_fills;  ///< same-locality collars
   std::vector<plan_recv> recvs;
-  std::vector<plan_strip> strips;  ///< fine strips with >= 1 remote dependency
-  /// Fine case-1 strips whose halo reads no cross-locality collar: posted
-  /// together with the interior, they never wait on a message.
-  std::vector<nonlocal::dp_rect> ready_strips;
   bool boundary = false;  ///< has at least one cross-locality neighbor
 };
 
@@ -71,10 +61,8 @@ struct step_plan {
   // Aggregate schedule shape, totalled at compile time — exposed as
   // `dist/plan/...` gauges and trace args by the observability layer so an
   // exported snapshot states how much of the step was overlappable.
-  int total_strips = 0;        ///< fine case-1 strips with >= 1 remote dep
-  int total_ready_strips = 0;  ///< fine case-1 strips with no remote dep
-  int total_local_fills = 0;   ///< same-locality collar copies per step
-  int boundary_sds = 0;        ///< SDs with >= 1 cross-locality neighbor
+  int total_local_fills = 0;  ///< same-locality collar copies per step
+  int boundary_sds = 0;       ///< SDs with >= 1 cross-locality neighbor
 };
 
 /// Compile the schedule for `t` under `own`. Deterministic: the message

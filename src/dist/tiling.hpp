@@ -183,8 +183,7 @@ case_split compute_case_split(const tiling& t, int sd, const std::vector<int>& o
 /// One fine-grained case-1 strip: an SD-local rectangle plus the exact set
 /// of cross-locality directions whose ghost data its epsilon-halo reads.
 /// `deps` empty means every value the strip touches is available locally at
-/// post time (same-locality collar fills) — such strips run with the case-2
-/// interior instead of waiting on any message.
+/// post time (same-locality collar fills).
 struct strip_dep {
   nonlocal::dp_rect rect;
   std::vector<direction> deps;  ///< remote directions, ascending enum order
@@ -196,8 +195,10 @@ struct strip_dep {
 /// `remote_strips`, but each carries only the directions whose recv collar
 /// intersects its epsilon-halo. Side strips typically depend on one ghost;
 /// corner strips on the two adjacent sides plus the diagonal (when those
-/// are cross-locality). This is the dependency table the per-direction
-/// overlap schedule compiles into its step_plan.
+/// are cross-locality). A tiling utility, not compiled by any overlap
+/// schedule (the solver gates all of an SD's case-1 strips together, see
+/// docs/overlap.md): kernel shape benches use its rects as the thinnest
+/// ghost-width shapes an SD's margin splits into.
 std::vector<strip_dep> compute_fine_strips(const tiling& t, int sd,
                                            const std::vector<int>& owner,
                                            const std::vector<char>* active = nullptr);

@@ -88,18 +88,6 @@ std::string metrics_json(const metrics_snapshot& snap) {
   return out;
 }
 
-std::string metrics_series_json(const std::vector<timed_snapshot>& series) {
-  std::string out = "[";
-  for (std::size_t i = 0; i < series.size(); ++i) {
-    out += i ? ",\n" : "\n";
-    out += "{\"t_seconds\": ";
-    append_double(out, series[i].t_seconds);
-    out += ", \"metrics\": " + metrics_json(series[i].metrics) + "}";
-  }
-  out += "\n]";
-  return out;
-}
-
 bool write_metrics_json(const std::string& path, const metrics_snapshot& snap) {
   std::ofstream f(path, std::ios::binary);
   if (!f) {

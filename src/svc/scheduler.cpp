@@ -161,9 +161,12 @@ void class_scheduler::on_item_done() {
     std::lock_guard<std::mutex> lk(mu_);
     --running_;
     pump_locked(sheds);
+    // Notify under the lock: a wait_idle() woken by this completion may
+    // destroy the scheduler as soon as it re-acquires mu_, so the worker
+    // must be done with idle_cv_ by then.
+    idle_cv_.notify_all();
   }
   run_sheds(sheds);
-  idle_cv_.notify_all();
 }
 
 void class_scheduler::wait_idle() {

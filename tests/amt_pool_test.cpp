@@ -1,10 +1,13 @@
-// Tests for the work-stealing thread pool, async/dataflow launch and
-// busy-time accounting.
+// Tests for the work-stealing thread pool (including its wake-up protocol),
+// async/dataflow launch and busy-time accounting.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <thread>
 
 #include "amt/async.hpp"
@@ -146,6 +149,94 @@ TEST(ThreadPool, ManySmallTasksAcrossWorkers) {
     fs.push_back(amt::async(pool, [&sum, i] { sum += i; }));
   amt::wait_all(fs);
   EXPECT_EQ(sum.load(), 500LL * 499 / 2);
+}
+
+namespace {
+
+/// A one-thread handoff with the textbook wake-up protocol (predicate
+/// re-checked under the mutex): the control the pool's wake-up latency is
+/// compared against, so host scheduling noise cancels out.
+class reference_worker {
+ public:
+  reference_worker() : thread_([this] { loop(); }) {}
+  ~reference_worker() {
+    {
+      std::lock_guard lk(m_);
+      stop_ = true;
+    }
+    cv_.notify_one();
+    thread_.join();
+  }
+  void post(int k) {
+    {
+      std::lock_guard lk(m_);
+      request_ = k;
+    }
+    cv_.notify_one();
+  }
+  std::atomic<int> done{0};
+
+ private:
+  void loop() {
+    std::unique_lock lk(m_);
+    while (true) {
+      cv_.wait(lk, [this] { return stop_ || request_ != done.load(); });
+      if (stop_) return;
+      done.store(request_, std::memory_order_release);
+    }
+  }
+  std::mutex m_;
+  std::condition_variable cv_;
+  int request_ = 0;
+  bool stop_ = false;
+  std::thread thread_;
+};
+
+}  // namespace
+
+TEST(ThreadPool, ExternalPingPongNeverLosesWakeups) {
+  // An external thread posts to a single worker and spins until the task
+  // ran, over and over, so every post races the worker going back to
+  // sleep. A post that lands between the worker's empty poll and its park
+  // must still wake it; a lost wake-up leaves the task queued until the
+  // worker wakes on its own (>= 1 ms with a timed poll, never without
+  // one). Each pool trip is paired with a trip through reference_worker,
+  // so a descheduled thread on a loaded host slows both: the pool may have
+  // at most 1% more slow trips than the reference, in one of three
+  // attempts. A lost-wake-up rate of 1% or more fails all three.
+  constexpr int trips = 2000;
+  constexpr auto slow = std::chrono::microseconds(900);
+  constexpr auto hung = std::chrono::seconds(5);
+  auto trip_is_slow = [&](auto&& post, const std::atomic<int>& done, int k) {
+    const auto t0 = std::chrono::steady_clock::now();
+    post();
+    while (done.load(std::memory_order_acquire) != k) {
+      if (std::chrono::steady_clock::now() - t0 >= hung) {
+        ADD_FAILURE() << "trip " << k << ": the posted work never ran";
+        return false;
+      }
+      std::this_thread::yield();
+    }
+    return std::chrono::steady_clock::now() - t0 >= slow;
+  };
+  int excess = trips;
+  for (int attempt = 0; attempt < 3 && excess >= trips / 100; ++attempt) {
+    amt::thread_pool pool(1);
+    reference_worker ref;
+    std::atomic<int> done{0};
+    int pool_slow = 0, ref_slow = 0;
+    for (int k = 1; k <= trips; ++k) {
+      pool_slow += trip_is_slow(
+          [&] { pool.post([&done, k] { done.store(k, std::memory_order_release); }); },
+          done, k);
+      ref_slow += trip_is_slow([&] { ref.post(k); }, ref.done, k);
+    }
+    if (::testing::Test::HasFailure()) return;
+    excess = std::min(excess, pool_slow - ref_slow);
+  }
+  EXPECT_LT(excess, trips / 100) << "the pool had " << excess << " more of "
+                                 << trips << " round trips >= 0.9 ms than the "
+                                    "reference handoff";
 }
 
 TEST(ThreadPool, DestructionDrainsCleanly) {

@@ -159,8 +159,7 @@ INSTANTIATE_TEST_SUITE_P(
     AllCadencesAllSchedulesAllBackends, RebalanceCadenceEquivalence,
     ::testing::Combine(::testing::Values("every_step", "every_3", "random"),
                        ::testing::Values(dist::overlap_schedule::bulk_sync,
-                                         dist::overlap_schedule::coarse,
-                                         dist::overlap_schedule::per_direction),
+                                         dist::overlap_schedule::coarse),
                        ::testing::Values("scalar", "row_run", "simd")));
 
 // ------------------------------------------------ anti-ping-pong damping ----
@@ -233,7 +232,7 @@ TEST(RebalanceDamping, DeadbandCooldownBoundAlternatingLoad) {
 // ------------------------------------------------------ zero imbalance -----
 
 TEST(RebalanceZeroImbalance, NoEpochFiresAndPlanStaysCached) {
-  auto cfg = battery_config(dist::overlap_schedule::per_direction, "scalar");
+  auto cfg = battery_config(dist::overlap_schedule::coarse, "scalar");
   cfg.rebalance.enabled = true;
   cfg.rebalance.interval = 1;
   cfg.rebalance.trigger = 1.0;
@@ -268,7 +267,7 @@ TEST(RebalanceZeroImbalance, NoEpochFiresAndPlanStaysCached) {
 // --------------------------------------------- partition/report property ----
 
 TEST(RebalanceProperty, OwnershipStaysAPartitionAndReportsMatch) {
-  auto cfg = battery_config(dist::overlap_schedule::per_direction, "row_run");
+  auto cfg = battery_config(dist::overlap_schedule::coarse, "row_run");
   cfg.rebalance.enabled = true;
   cfg.rebalance.interval = 1;
   cfg.rebalance.trigger = 0.0;

@@ -535,9 +535,9 @@ TEST(CkptSession, HibernateRestoreRunIsBitwiseInvisible) {
     const char* schedule;
     const char* codec;
   } cases[] = {
-      {api::execution_mode::serial, "scalar", "per_direction", "delta"},
-      {api::execution_mode::serial, "simd", "per_direction", "raw"},
-      {api::execution_mode::distributed, "scalar", "per_direction", "delta"},
+      {api::execution_mode::serial, "scalar", "coarse", "delta"},
+      {api::execution_mode::serial, "simd", "coarse", "raw"},
+      {api::execution_mode::distributed, "scalar", "coarse", "delta"},
       {api::execution_mode::distributed, "simd", "bulk_sync", "delta"},
       {api::execution_mode::distributed, "row_run", "coarse", "raw"},
   };
@@ -562,7 +562,7 @@ TEST(CkptSession, HibernateRestoreRunIsBitwiseInvisible) {
 
 TEST(CkptSession, LockFreeAccessorsSurviveHibernation) {
   const auto o = small_options(api::execution_mode::distributed, "scalar",
-                               "per_direction", "delta");
+                               "coarse", "delta");
   api::session s(o);
   auto& h = s.solver();
   h.run(2);

@@ -1,93 +1,19 @@
-// Tests for the second extension batch: amt::channel, execution-trace
-// export, induced subgraphs and recursive-bisection partitioning.
+// Tests for the second extension batch: execution-trace export, induced
+// subgraphs and recursive-bisection partitioning.
 
 #include <gtest/gtest.h>
 
 #include <sstream>
-#include <thread>
 
-#include "amt/channel.hpp"
 #include "dist/sim_dist.hpp"
 #include "partition/mesh_dual.hpp"
 #include "partition/metrics.hpp"
 #include "partition/multilevel.hpp"
 #include "sim/cluster_sim.hpp"
 
-namespace amt = nlh::amt;
 namespace part = nlh::partition;
 namespace sim = nlh::sim;
 namespace dist = nlh::dist;
-
-// ---------------------------------------------------------------- channel ----
-
-TEST(Channel, SetThenGet) {
-  amt::channel<int> ch;
-  ch.set(5);
-  auto f = ch.get();
-  ASSERT_TRUE(f.is_ready());
-  EXPECT_EQ(f.get(), 5);
-}
-
-TEST(Channel, GetThenSet) {
-  amt::channel<int> ch;
-  auto f = ch.get();
-  EXPECT_FALSE(f.is_ready());
-  ch.set(9);
-  EXPECT_EQ(f.get(), 9);
-}
-
-TEST(Channel, FifoOrdering) {
-  amt::channel<int> ch;
-  ch.set(1);
-  ch.set(2);
-  ch.set(3);
-  EXPECT_EQ(ch.get().get(), 1);
-  EXPECT_EQ(ch.get().get(), 2);
-  EXPECT_EQ(ch.get().get(), 3);
-}
-
-TEST(Channel, InterleavedWaiters) {
-  amt::channel<int> ch;
-  auto f1 = ch.get();
-  auto f2 = ch.get();
-  ch.set(10);
-  ch.set(20);
-  EXPECT_EQ(f1.get(), 10);
-  EXPECT_EQ(f2.get(), 20);
-}
-
-TEST(Channel, MoveOnlyPayload) {
-  amt::channel<std::unique_ptr<int>> ch;
-  ch.set(std::make_unique<int>(7));
-  EXPECT_EQ(*ch.get().get(), 7);
-}
-
-TEST(Channel, CloseFailsWaiters) {
-  amt::channel<int> ch;
-  auto f = ch.get();
-  ch.close();
-  EXPECT_THROW(f.get(), amt::channel_closed);
-  EXPECT_TRUE(ch.closed());
-}
-
-TEST(Channel, CloseDrainsQueuedValuesFirst) {
-  amt::channel<int> ch;
-  ch.set(1);
-  ch.close();
-  EXPECT_EQ(ch.get().get(), 1);  // queued value still delivered
-  EXPECT_THROW(ch.get().get(), amt::channel_closed);
-}
-
-TEST(Channel, CrossThread) {
-  amt::channel<int> ch;
-  std::thread producer([&] {
-    for (int i = 0; i < 50; ++i) ch.set(i);
-  });
-  long long sum = 0;
-  for (int i = 0; i < 50; ++i) sum += ch.get().get();
-  producer.join();
-  EXPECT_EQ(sum, 50LL * 49 / 2);
-}
 
 // ------------------------------------------------------------ trace export ----
 

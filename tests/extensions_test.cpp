@@ -29,7 +29,7 @@ TEST(BulkSyncMode, MatchesSerialReference) {
   cfg.sd_rows = cfg.sd_cols = 2;
   cfg.sd_size = 8;
   cfg.epsilon_factor = 2;
-  cfg.overlap_communication = false;
+  cfg.schedule = dist::overlap_schedule::bulk_sync;
   const dist::tiling t(2, 2, 8, 2);
   dist::dist_solver solver(cfg, dist::ownership_map(t, 2, {0, 1, 1, 0}));
   solver.set_initial_condition();
@@ -54,19 +54,20 @@ TEST(BulkSyncMode, MatchesSerialReference) {
 
 TEST(BulkSyncMode, SameGhostTrafficAsOverlap) {
   // The schedule changes; the data exchanged does not.
-  auto run_bytes = [](bool overlap) {
+  auto run_bytes = [](dist::overlap_schedule sched) {
     dist::dist_config cfg;
     cfg.sd_rows = cfg.sd_cols = 2;
     cfg.sd_size = 8;
     cfg.epsilon_factor = 2;
-    cfg.overlap_communication = overlap;
+    cfg.schedule = sched;
     const dist::tiling t(2, 2, 8, 2);
     dist::dist_solver solver(cfg, dist::ownership_map(t, 2, {0, 1, 0, 1}));
     solver.set_initial_condition();
     solver.run(2);
     return solver.ghost_bytes();
   };
-  EXPECT_EQ(run_bytes(true), run_bytes(false));
+  EXPECT_EQ(run_bytes(dist::overlap_schedule::coarse),
+            run_bytes(dist::overlap_schedule::bulk_sync));
 }
 
 TEST(BulkSyncSim, NeverFasterThanOverlap) {
