@@ -357,7 +357,7 @@ std::vector<sweep_shape> sweep_shapes(int reach) {
   std::vector<int> owner(static_cast<std::size_t>(tl.num_sds()));
   for (std::size_t i = 0; i < owner.size(); ++i) owner[i] = static_cast<int>(i);
   const nlh::dist::ownership_map own(tl, tl.num_sds(), owner);
-  const auto plan = nlh::dist::compile_step_plan(tl, own);
+  const auto plan = nlh::dist::compile_step_plan(tl, own, 1);
   const auto& sd = plan.sds[static_cast<std::size_t>(tl.sd_at(1, 1))];
   shapes.push_back({"sd24_interior", sd_size, sd.split.interior});
   for (const auto& strip : sd.split.remote_strips) {

@@ -157,7 +157,8 @@ void thread_pool::worker_loop(unsigned index) {
   current_pool_ = this;
   current_index_ = index;
 #if NLH_OBS_TRACING_COMPILED
-  // Perfetto track label; once per thread, so unconditional is fine.
+  // Perfetto track label. It stays thread-local until the worker first
+  // records, so an untraced pool allocates no trace ring.
   obs::tracer::instance().set_thread_name(
       (locality_ >= 0 ? "loc" + std::to_string(locality_) + "/worker-"
                       : "worker-") +

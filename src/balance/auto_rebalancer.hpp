@@ -32,11 +32,10 @@ namespace nlh::balance {
 
 class auto_rebalancer {
  public:
-  /// Replaces the default busy-time source (the counter_registry
-  /// `busy_time_path(l)` poll with a `dist_solver::busy_fraction(l)`
-  /// fallback, as in run_real_balancing). Returns one busy value per
-  /// locality; tests inject synthetic loads here to make move sequences
-  /// deterministic.
+  /// Replaces the default busy-time source (`dist_solver::busy_fraction(l)`
+  /// of the solver's own pools, as in run_real_balancing). Returns one busy
+  /// value per locality; tests inject synthetic loads here to make move
+  /// sequences deterministic.
   using busy_sampler =
       std::function<std::vector<double>(const dist::dist_solver&)>;
   /// Observes every epoch's balance_report right after its migrations

@@ -1,7 +1,5 @@
 #include "balance/real_driver.hpp"
 
-#include "amt/counters.hpp"
-
 namespace nlh::balance {
 
 std::vector<real_balance_iteration> run_real_balancing(dist::dist_solver& solver,
@@ -15,16 +13,11 @@ std::vector<real_balance_iteration> run_real_balancing(dist::dist_solver& solver
     solver.reset_busy_counters();
     solver.run(cfg.steps_per_iteration);
 
-    // Poll the AGAS-style registry path first (the paper's counter surface;
-    // try_value never aborts, so a counter unregistered by a concurrent
-    // pool teardown — e.g. during migration — degrades to the direct
-    // solver reading instead of crashing the balancing loop).
-    auto& reg = amt::counter_registry::instance();
+    // The solver's own pools, never the process-wide counter registry
+    // (shared by every tenant in the process).
     entry.busy_fraction.reserve(static_cast<std::size_t>(solver.owners().num_nodes()));
-    for (int l = 0; l < solver.owners().num_nodes(); ++l) {
-      const auto polled = reg.try_value(amt::busy_time_path(l));
-      entry.busy_fraction.push_back(polled ? *polled : solver.busy_fraction(l));
-    }
+    for (int l = 0; l < solver.owners().num_nodes(); ++l)
+      entry.busy_fraction.push_back(solver.busy_fraction(l));
 
     const auto traffic_before = solver.comm().total_bytes();
     // Balance on a copy of the ownership map; migrations applied through

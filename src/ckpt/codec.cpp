@@ -102,7 +102,9 @@ bool fixed_point_lattice(const double* vals, std::size_t n,
     if (shift >= 62) return false;
     const std::int64_t lim = std::int64_t{1} << (62 - shift);
     if (q[i] >= lim || q[i] <= -lim) return false;
-    q[i] <<= shift;
+    // A multiply, not `<<=`: left-shifting a negative value is undefined
+    // before C++20. The bound above keeps the product below 2^62.
+    q[i] *= std::int64_t{1} << shift;
   }
   return true;
 }
@@ -262,7 +264,7 @@ class delta_codec_impl final : public codec {
     const std::int64_t lim = std::int64_t{1} << (62 - shift);
     for (auto& v : q) {
       if (v >= lim || v <= -lim) return false;
-      v <<= shift;
+      v *= std::int64_t{1} << shift;  // not <<=: see fixed_point_lattice
     }
     return true;
   }

@@ -306,7 +306,7 @@ void dist_solver::metrics_into(obs::metrics_snapshot& snap) const {
 
 void dist_solver::ensure_plan() {
   if (!plan_dirty_) return;
-  plan_ = compile_step_plan(tiling_, own_);
+  plan_ = compile_step_plan(tiling_, own_, cfg_.threads_per_locality);
   ++plan_compiles_;
   NLH_TRACE_INSTANT("dist/plan_compile",
                     static_cast<std::uint64_t>(plan_.total_messages));
@@ -386,7 +386,7 @@ void dist_solver::step() {
   stat_messages_.fetch_add(static_cast<std::uint64_t>(plan_.total_messages),
                            std::memory_order_relaxed);
   pending_.clear();
-  aux_pending_.clear();
+  prepare_pending_.clear();
 
   // 1. Futurized receives from the cached message table (parking a promise
   // in the destination mailbox — no task is spent); the payload futures
@@ -398,60 +398,31 @@ void dist_solver::step() {
           comm_.recv(dst, rv.src_locality, ghost_tag(step_, rv.tag_base));
   }
 
-  // 2. Boundary-first posting: every pack/send task is enqueued before any
-  // aux-field or compute work, so ghost messages leave each locality's
-  // pool as early as possible.
-  for (const auto& snd : plan_.sends) {
-    const auto tag = ghost_tag(step_, snd.tag_base);
-    pending_.push_back(amt::async(
-        *pools_[static_cast<std::size_t>(snd.src_locality)],
-        [this, sender_sd = snd.sender_sd, pack_dir = snd.pack_dir,
-         src = snd.src_locality, dst = snd.dst_locality, tag] {
-          NLH_TRACE_SPAN_ARG("dist/pack_send", static_cast<std::uint64_t>(sender_sd));
-          auto& strip = pack_scratch_[static_cast<std::size_t>(sender_sd)]
-                                     [static_cast<std::size_t>(pack_dir)];
-          blocks_[static_cast<std::size_t>(sender_sd)]->pack_into(tiling_, pack_dir,
-                                                                  strip);
-          net::archive_writer w(acquire_buffer());
-          w.write(strip);
-          auto buf = w.take();
-          ghost_bytes_.fetch_add(buf.size(), std::memory_order_relaxed);
-          ghost_msg_bytes_hist_.record(static_cast<double>(buf.size()));
-          comm_.send(src, dst, tag, std::move(buf));
-        }));
+  // 2. One prepare task per batch (step_plan.hpp), posted boundary batches
+  // first: it packs and sends the batch's outgoing ghosts before any other
+  // work, so messages leave each locality's pool as early as possible; then
+  // it evaluates the scenario's auxiliary field over each of its SDs
+  // (manufactured: the analytic w(t_k), no communication needed; disjoint
+  // writes) and fills the SD's same-locality collars by direct copies (no
+  // serialization; they write collars the pack tasks never read).
+  for (const auto& batch : plan_.batches)
+    prepare_pending_.push_back(amt::async(
+        *pools_[static_cast<std::size_t>(batch.locality)],
+        [this, &batch, t_now] { prepare_batch(batch, t_now); }));
+
+  // 3. The aux barrier: the source evaluation inside compute_rect reads w up
+  // to `ghost` cells beyond its own SD, so every w rectangle must be in
+  // place first. It also orders every collar fill before any unpack is
+  // posted (the strip tasks below, or the bulk_sync drain). The stepping
+  // thread idles here on pool work, so the wait is a drain span: a trace
+  // attributes it to the prepare tasks' spans, not to step posting.
+  {
+    NLH_TRACE_SPAN("dist/drain");
+    for (auto& f : prepare_pending_) f.wait();
   }
-
-  // 3. The scenario's auxiliary field on the global grid (manufactured:
-  // the analytic w(t_k), so no communication is needed); each locality
-  // evaluates its own SDs' rectangles (disjoint writes), boundary SDs
-  // first. Everything must land before compute tasks read across SD
-  // boundaries, so these futures are awaited below.
-  for (const int sd : plan_.post_order) {
-    aux_pending_.push_back(amt::async(
-        *pools_[static_cast<std::size_t>(own_.owner(sd))], [this, sd, t_now] {
-          NLH_TRACE_SPAN_ARG("dist/aux", static_cast<std::uint64_t>(sd));
-          const auto& blk = *blocks_[static_cast<std::size_t>(sd)];
-          const nonlocal::dp_rect grect{
-              blk.origin_row(), blk.origin_row() + tiling_.sd_size(),
-              blk.origin_col(), blk.origin_col() + tiling_.sd_size()};
-          scenario_->fill_aux(context(), t_now, grect, w_field_);
-        }));
-  }
-
-  // 4. Same-locality collar fills: direct copies, no serialization. They
-  // finish before any unpack is posted (the strip tasks below, or the
-  // bulk_sync drain) and write collars the pack tasks never read.
-  for (int sd = 0; sd < tiling_.num_sds(); ++sd)
-    for (const auto& [d, nb] : plan_.sds[static_cast<std::size_t>(sd)].local_fills)
-      blocks_[static_cast<std::size_t>(sd)]->fill_from_local(
-          tiling_, d, *blocks_[static_cast<std::size_t>(nb)]);
-
-  // The source evaluation inside compute_rect reads w up to `ghost` cells
-  // beyond its own SD: every w rectangle must be in place first.
-  for (auto& f : aux_pending_) f.wait();
 
   if (sched == overlap_schedule::bulk_sync) {
-    // Bulk-synchronous baseline: drain every ghost before any compute.
+    // 4. Bulk-synchronous baseline: drain every ghost before any compute.
     // This stall is communication wait just like the end-of-step drain, so
     // it counts toward the same observable.
     support::stopwatch drain_sw;
@@ -469,49 +440,56 @@ void dist_solver::step() {
                         std::memory_order_relaxed);
   }
 
-  for (const int sd : plan_.post_order) {
-    auto& pool = *pools_[static_cast<std::size_t>(own_.owner(sd))];
-    const auto& sd_plan = plan_.sds[static_cast<std::size_t>(sd)];
+  // 5. Compute, one interior task per batch plus the boundary SDs' strip
+  // tasks. The plan outlives the step (it recompiles only between steps),
+  // so the tasks may read its batches, receive tables and strips by
+  // reference.
+  for (const auto& batch : plan_.batches) {
+    auto& pool = *pools_[static_cast<std::size_t>(batch.locality)];
 
     // Case 2: needs no foreign data — runs while messages are in flight.
-    pending_.push_back(amt::async(pool, [this, sd, rect = sd_plan.split.interior,
-                                         t_now] {
-      NLH_TRACE_SPAN_ARG("dist/interior", static_cast<std::uint64_t>(sd));
-      compute_rect_counted(sd, rect, t_now, stat_interior_early_);
+    pending_.push_back(amt::async(pool, [this, &batch, t_now] {
+      for (const int sd : batch.sds) {
+        NLH_TRACE_SPAN_ARG("dist/interior", static_cast<std::uint64_t>(sd));
+        compute_rect_counted(sd, plan_.sds[static_cast<std::size_t>(sd)].split.interior,
+                             t_now, stat_interior_early_);
+      }
     }));
 
-    if (sched == overlap_schedule::bulk_sync) {
-      if (sd_plan.split.remote_strips.empty()) continue;
-      pending_.push_back(
-          amt::async(pool, [this, sd, &strips = sd_plan.split.remote_strips, t_now] {
+    for (const int sd : batch.sds) {
+      const auto& sd_plan = plan_.sds[static_cast<std::size_t>(sd)];
+      if (!sd_plan.boundary) break;  // boundary SDs lead every batch
+
+      if (sched == overlap_schedule::bulk_sync) {
+        if (sd_plan.split.remote_strips.empty()) continue;
+        pending_.push_back(
+            amt::async(pool, [this, sd, &strips = sd_plan.split.remote_strips, t_now] {
+              NLH_TRACE_SPAN_ARG("dist/strip", static_cast<std::uint64_t>(sd));
+              for (const auto& rect : strips)
+                compute_rect_counted(sd, rect, t_now, stat_strips_early_);
+            }));
+        continue;
+      }
+
+      // Case 1 (paper §6.3): all of this SD's strips gate on the arrival of
+      // all of its ghosts (amt::dataflow hops onto the owner's pool).
+      std::vector<amt::future<net::byte_buffer>> futs;
+      futs.reserve(sd_plan.recvs.size());
+      for (const auto& rv : sd_plan.recvs)
+        futs.push_back(std::move(recv_slots_[static_cast<std::size_t>(rv.slot)]));
+      pending_.push_back(amt::dataflow(
+          pool, std::move(futs),
+          [this, sd, &sd_plan, t_now](std::vector<amt::future<net::byte_buffer>> ready) {
             NLH_TRACE_SPAN_ARG("dist/strip", static_cast<std::uint64_t>(sd));
-            for (const auto& rect : strips)
+            for (std::size_t i = 0; i < ready.size(); ++i)
+              unpack_ghost(sd, sd_plan.recvs[i].dir, ready[i].get());
+            for (const auto& rect : sd_plan.split.remote_strips)
               compute_rect_counted(sd, rect, t_now, stat_strips_early_);
           }));
-      continue;
     }
-
-    // Case 1 (paper §6.3): all of this SD's strips gate on the arrival of
-    // all of its ghosts (amt::dataflow hops onto the owner's pool).
-    if (sd_plan.recvs.empty()) continue;
-    std::vector<amt::future<net::byte_buffer>> futs;
-    futs.reserve(sd_plan.recvs.size());
-    for (const auto& rv : sd_plan.recvs)
-      futs.push_back(std::move(recv_slots_[static_cast<std::size_t>(rv.slot)]));
-    // The plan outlives the step (it recompiles only between steps), so the
-    // task may read its receive table and strips by reference.
-    pending_.push_back(amt::dataflow(
-        pool, std::move(futs),
-        [this, sd, &sd_plan, t_now](std::vector<amt::future<net::byte_buffer>> ready) {
-          NLH_TRACE_SPAN_ARG("dist/strip", static_cast<std::uint64_t>(sd));
-          for (std::size_t i = 0; i < ready.size(); ++i)
-            unpack_ghost(sd, sd_plan.recvs[i].dir, ready[i].get());
-          for (const auto& rect : sd_plan.split.remote_strips)
-            compute_rect_counted(sd, rect, t_now, stat_strips_early_);
-        }));
   }
 
-  // 5. End-of-step drain. The stall measured here is the per-step
+  // 6. End-of-step drain. The stall measured here is the per-step
   // overlap/wait observable exposed through stats() and the api metrics.
   support::stopwatch sw;
   {
@@ -526,11 +504,39 @@ void dist_solver::step() {
   for (auto& blk : blocks_) blk->swap_fields();
   ++step_;
 
-  // 6. The live Algorithm 1 loop (docs/balance.md): with the step fully
+  // 7. The live Algorithm 1 loop (docs/balance.md): with the step fully
   // drained and the fields swapped, ownership can change safely — any
   // migrations it performs dirty the plan, which recompiles at the top of
   // the next step.
   if (rebalancer_) rebalancer_->on_step(*this);
+}
+
+void dist_solver::pack_send(const plan_send& snd) {
+  NLH_TRACE_SPAN_ARG("dist/pack_send", static_cast<std::uint64_t>(snd.sender_sd));
+  auto& strip = pack_scratch_[static_cast<std::size_t>(snd.sender_sd)];
+  blocks_[static_cast<std::size_t>(snd.sender_sd)]->pack_into(tiling_, snd.pack_dir,
+                                                              strip);
+  net::archive_writer w(acquire_buffer());
+  w.write(strip);
+  auto buf = w.take();
+  ghost_bytes_.fetch_add(buf.size(), std::memory_order_relaxed);
+  ghost_msg_bytes_hist_.record(static_cast<double>(buf.size()));
+  comm_.send(snd.src_locality, snd.dst_locality, ghost_tag(step_, snd.tag_base),
+             std::move(buf));
+}
+
+void dist_solver::prepare_batch(const plan_batch& batch, double t_now) {
+  for (const int i : batch.sends) pack_send(plan_.sends[static_cast<std::size_t>(i)]);
+  for (const int sd : batch.sds) {
+    NLH_TRACE_SPAN_ARG("dist/aux", static_cast<std::uint64_t>(sd));
+    auto& blk = *blocks_[static_cast<std::size_t>(sd)];
+    const nonlocal::dp_rect grect{
+        blk.origin_row(), blk.origin_row() + tiling_.sd_size(),
+        blk.origin_col(), blk.origin_col() + tiling_.sd_size()};
+    scenario_->fill_aux(context(), t_now, grect, w_field_);
+    for (const auto& [d, nb] : plan_.sds[static_cast<std::size_t>(sd)].local_fills)
+      blk.fill_from_local(tiling_, d, *blocks_[static_cast<std::size_t>(nb)]);
+  }
 }
 
 void dist_solver::compute_rect_counted(int sd, const nonlocal::dp_rect& rect,

@@ -7,11 +7,14 @@
 ///
 /// Each timestep executes a cached **step_plan** (docs/overlap.md),
 /// compiled once from (tiling, ownership) and invalidated only by
-/// migrate_sd/restore: same-locality collars are filled by direct copies;
-/// cross-locality strips travel as serialized byte buffers through the
-/// mailbox network, with pack/send tasks posted boundary-first so messages
-/// leave each locality before any compute is enqueued. Case-2 interior
-/// rectangles compute immediately while the messages are in flight; under
+/// migrate_sd/restore. The plan cuts each locality's SDs into a few
+/// batches, and the stepping thread only posts two tasks per batch: a
+/// prepare task packs and sends the batch's cross-locality strips as
+/// serialized byte buffers through the mailbox network (boundary batches
+/// first, so messages leave each locality before any compute is enqueued),
+/// then fills its SDs' aux rects and same-locality collars by direct
+/// copies; after the aux barrier an interior task computes the batch's
+/// case-2 rects while the messages are in flight. Under
 /// the default coarse schedule (paper §6.3) each SD's case-1 strips run in
 /// one task chained on the arrival of all of its ghosts, which unpacks them
 /// in order and then computes the strips. The bulk_sync baseline drains
@@ -36,7 +39,6 @@
 /// strip path (measured by bench/micro_ghost).
 ///
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -257,6 +259,13 @@ class dist_solver {
   void compute_rect_counted(int sd, const nonlocal::dp_rect& rect, double t_now,
                             std::atomic<std::uint64_t>& early_counter);
 
+  /// Pack one ghost strip, serialize it into a pooled buffer and send it
+  /// (tagged for the current step).
+  void pack_send(const plan_send& snd);
+  /// The prepare task of one batch: its pack/sends first, then each SD's
+  /// aux rect and same-locality collar fills.
+  void prepare_batch(const plan_batch& batch, double t_now);
+
   /// Recompile the step plan when ownership changed (migration/restore).
   void ensure_plan();
 
@@ -295,12 +304,11 @@ class dist_solver {
   std::vector<double> w_field_;          ///< scenario aux field (global grid)
   std::vector<double> b_field_;          ///< scenario source scratch
 
-  // Pooled exchange buffers. Pack scratch is per (SD, direction): the
-  // per-step pack tasks of one SD target distinct directions. Unpack
-  // scratch is per SD: one task (coarse) or the stepping thread
-  // (bulk_sync) unpacks all of an SD's ghosts in order. Serialized byte
-  // buffers recirculate through a mutex-guarded free list.
-  std::vector<std::array<std::vector<double>, num_directions>> pack_scratch_;
+  // Pooled exchange buffers, per SD: one prepare task packs all of an SD's
+  // outgoing ghosts in turn, and one task (coarse) or the stepping thread
+  // (bulk_sync) unpacks all of its incoming ghosts in order. Serialized
+  // byte buffers recirculate through a mutex-guarded free list.
+  std::vector<std::vector<double>> pack_scratch_;
   std::vector<std::vector<double>> unpack_scratch_;
   std::mutex buffer_pool_mu_;
   std::vector<net::byte_buffer> buffer_pool_;
@@ -320,7 +328,7 @@ class dist_solver {
   std::unique_ptr<balance::auto_rebalancer> rebalancer_;
   std::vector<amt::future<net::byte_buffer>> recv_slots_;  ///< per message
   std::vector<amt::future<void>> pending_;      ///< end-of-step drain set
-  std::vector<amt::future<void>> aux_pending_;  ///< scenario aux-field fills
+  std::vector<amt::future<void>> prepare_pending_;  ///< the aux barrier set
 
   /// Per-SD migration counter mixed into migration tags.
   std::vector<std::uint64_t> migration_epoch_;
@@ -369,7 +377,7 @@ class dist_solver {
   std::atomic<std::uint64_t> ghost_bytes_{0};
 
   // Observability instruments (docs/observability.md): serialized ghost
-  // message sizes in bytes (recorded by pack/send tasks, mutex-guarded
+  // message sizes in bytes (recorded by the prepare tasks, mutex-guarded
   // internally) and the stepping thread's per-step drain stall in seconds.
   obs::histogram ghost_msg_bytes_hist_{obs::histogram_options{1.0, 1e9, 4}};
   obs::histogram drain_wait_hist_;

@@ -8,9 +8,12 @@
 /// update never aliases its inputs; swap_fields flips them after a step.
 /// pack/unpack serialize send/recv strips row-major as raw doubles — the
 /// payload a cluster run would put on the wire — while fill_from_local is
-/// the zero-copy shortcut for neighbors on the same locality.
+/// the zero-copy shortcut for neighbors on the same locality. Every copy
+/// moves whole rows (std::copy_n from row pointers) after checking the
+/// rect's geometry once, not per DP.
 ///
 
+#include <algorithm>
 #include <utility>
 #include <vector>
 
@@ -45,8 +48,7 @@ class sd_block {
   std::size_t flat(int i, int j) const {
     NLH_ASSERT(i >= -ghost_ && i < size_ + ghost_);
     NLH_ASSERT(j >= -ghost_ && j < size_ + ghost_);
-    return static_cast<std::size_t>(i + ghost_) * static_cast<std::size_t>(stride_) +
-           static_cast<std::size_t>(j + ghost_);
+    return offset(i, j);
   }
 
   std::vector<double>& u() { return u_; }
@@ -59,19 +61,15 @@ class sd_block {
   /// Row-major copy of the size^2 interior DPs — the migration and
   /// checkpoint payload.
   std::vector<double> interior() const {
-    std::vector<double> vals;
-    vals.reserve(static_cast<std::size_t>(size_) * size_);
-    for (int i = 0; i < size_; ++i)
-      for (int j = 0; j < size_; ++j) vals.push_back(u_[flat(i, j)]);
+    std::vector<double> vals(static_cast<std::size_t>(size_) * size_);
+    copy_out(interior_rect(), vals.data());
     return vals;
   }
 
   void set_interior(const std::vector<double>& vals) {
     NLH_ASSERT_MSG(vals.size() == static_cast<std::size_t>(size_) * size_,
                    "sd_block: interior payload size mismatch");
-    std::size_t k = 0;
-    for (int i = 0; i < size_; ++i)
-      for (int j = 0; j < size_; ++j) u_[flat(i, j)] = vals[k++];
+    copy_in(interior_rect(), vals.data());
   }
 
   /// Row-major copy of the strip sent toward direction `d`, written into a
@@ -81,9 +79,7 @@ class sd_block {
   void pack_into(const tiling& t, direction d, std::vector<double>& strip) const {
     const auto r = t.send_rect(d);
     strip.resize(static_cast<std::size_t>(r.area()));
-    std::size_t k = 0;
-    for (int i = r.row_begin; i < r.row_end; ++i)
-      for (int j = r.col_begin; j < r.col_end; ++j) strip[k++] = u_[flat(i, j)];
+    copy_out(r, strip.data());
   }
 
   /// Convenience allocating form of pack_into.
@@ -98,9 +94,7 @@ class sd_block {
     const auto r = t.recv_rect(d);
     NLH_ASSERT_MSG(strip.size() == static_cast<std::size_t>(r.area()),
                    "sd_block: ghost strip size does not match the collar rect");
-    std::size_t k = 0;
-    for (int i = r.row_begin; i < r.row_end; ++i)
-      for (int j = r.col_begin; j < r.col_end; ++j) u_[flat(i, j)] = strip[k++];
+    copy_in(r, strip.data());
   }
 
   /// Fill the collar facing direction `d` straight from a same-locality
@@ -109,13 +103,46 @@ class sd_block {
     const auto dst = t.recv_rect(d);
     const auto src = t.send_rect(opposite(d));
     NLH_ASSERT(dst.rows() == src.rows() && dst.cols() == src.cols());
+    check_rect(dst);
+    nbr.check_rect(src);
+    const auto w = static_cast<std::size_t>(dst.cols());
     for (int i = 0; i < dst.rows(); ++i)
-      for (int j = 0; j < dst.cols(); ++j)
-        u_[flat(dst.row_begin + i, dst.col_begin + j)] =
-            nbr.u_[nbr.flat(src.row_begin + i, src.col_begin + j)];
+      std::copy_n(nbr.u_.data() + nbr.offset(src.row_begin + i, src.col_begin), w,
+                  u_.data() + offset(dst.row_begin + i, dst.col_begin));
   }
 
  private:
+  nonlocal::dp_rect interior_rect() const { return {0, size_, 0, size_}; }
+
+  /// The geometry check flat() makes per DP, made once for a whole rect.
+  void check_rect(const nonlocal::dp_rect& r) const {
+    NLH_ASSERT(r.row_begin >= -ghost_ && r.row_end <= size_ + ghost_ &&
+               r.row_begin <= r.row_end);
+    NLH_ASSERT(r.col_begin >= -ghost_ && r.col_end <= size_ + ghost_ &&
+               r.col_begin <= r.col_end);
+  }
+
+  /// flat() without the checks: callers validated the rect with check_rect.
+  std::size_t offset(int i, int j) const {
+    return static_cast<std::size_t>(i + ghost_) * static_cast<std::size_t>(stride_) +
+           static_cast<std::size_t>(j + ghost_);
+  }
+
+  /// Row-major copies between u over `r` and a packed buffer, one whole
+  /// row at a time.
+  void copy_out(const nonlocal::dp_rect& r, double* out) const {
+    check_rect(r);
+    const auto w = static_cast<std::size_t>(r.cols());
+    for (int i = r.row_begin; i < r.row_end; ++i, out += w)
+      std::copy_n(u_.data() + offset(i, r.col_begin), w, out);
+  }
+  void copy_in(const nonlocal::dp_rect& r, const double* in) {
+    check_rect(r);
+    const auto w = static_cast<std::size_t>(r.cols());
+    for (int i = r.row_begin; i < r.row_end; ++i, in += w)
+      std::copy_n(in, w, u_.data() + offset(i, r.col_begin));
+  }
+
   int sd_;
   int size_;
   int ghost_;

@@ -68,23 +68,32 @@ tracer& tracer::instance() {
 
 std::int64_t tracer::now_ns() const { return steady_ns() - epoch_ns_; }
 
-tracer::ring& tracer::local_ring() {
+namespace {
+
+/// The calling thread's label (set_thread_name), kept apart from its ring so
+/// naming a thread that never records allocates no ring.
+thread_local std::string tls_thread_name;
+
+}  // namespace
+
+tracer::ring* tracer::local_ring(bool create) {
   // One cached ring per (thread, process): the tracer is a singleton, so a
   // plain thread_local shared_ptr suffices. The registry keeps its own
   // reference, so events of exited threads survive into later snapshots.
   thread_local std::shared_ptr<ring> tls;
-  if (!tls) {
+  if (!tls && create) {
     const auto cap = current_config().ring_capacity;
     std::lock_guard<std::mutex> lk(rings_m_);
     tls = std::make_shared<ring>(cap, next_tid_++);
+    tls->name = tls_thread_name;
     rings_.push_back(tls);
   }
-  return *tls;
+  return tls.get();
 }
 
 void tracer::record(const char* name, char phase, std::uint64_t arg,
                     std::int64_t ts_ns, std::int64_t dur_ns) {
-  auto& r = local_ring();
+  auto& r = *local_ring(true);
   std::lock_guard<std::mutex> lk(r.m);
   auto& e = r.ev[r.head];
   e.name = name;
@@ -98,9 +107,11 @@ void tracer::record(const char* name, char phase, std::uint64_t arg,
 }
 
 void tracer::set_thread_name(std::string name) {
-  auto& r = local_ring();
-  std::lock_guard<std::mutex> lk(r.m);
-  r.name = std::move(name);
+  tls_thread_name = name;
+  if (auto* r = local_ring(false)) {
+    std::lock_guard<std::mutex> lk(r->m);
+    r->name = std::move(name);
+  }
 }
 
 std::vector<trace_event> tracer::snapshot() const {

@@ -64,7 +64,11 @@ class tracer {
   void record(const char* name, char phase, std::uint64_t arg,
               std::int64_t ts_ns, std::int64_t dur_ns);
 
-  /// Label the calling thread's ring (shown as the Perfetto track name).
+  /// Label the calling thread (shown as the Perfetto track name). The
+  /// label is kept thread-local and attached to the thread's ring when the
+  /// thread first records, so naming a thread allocates no ring: pool
+  /// workers name themselves unconditionally at no cost while tracing is
+  /// off.
   void set_thread_name(std::string name);
 
   /// Copy out every ring's events, oldest first per thread, merged and
@@ -84,7 +88,9 @@ class tracer {
   tracer();
 
   struct ring;
-  ring& local_ring();
+  /// The calling thread's ring; created and registered on first use when
+  /// `create`, else null until then.
+  ring* local_ring(bool create);
 
   mutable std::mutex rings_m_;
   std::vector<std::shared_ptr<ring>> rings_;

@@ -3,20 +3,24 @@
 // between steps — forced every step, every 3 steps, and at seeded-random
 // intervals, for every kernel backend x overlap schedule — plus the
 // anti-ping-pong (deadband/cooldown/max_moves) damping, the zero-imbalance
-// no-op path, the partition/report consistency property, and the api-layer
-// policy surface (validation, runtime_metrics, metrics_snapshot).
+// no-op path, busy time read only from the solver's own pools, the
+// partition/report consistency property, and the api-layer policy surface
+// (validation, runtime_metrics, metrics_snapshot).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <memory>
 #include <numeric>
 #include <string>
 #include <tuple>
 #include <vector>
 
+#include "amt/counters.hpp"
 #include "api/session.hpp"
 #include "balance/auto_rebalancer.hpp"
+#include "balance/real_driver.hpp"
 #include "dist/dist_solver.hpp"
 #include "nonlocal/kernel/backend.hpp"
 #include "nonlocal/serial_solver.hpp"
@@ -262,6 +266,60 @@ TEST(RebalanceZeroImbalance, NoEpochFiresAndPlanStaysCached) {
 
   expect_bitwise_equal(solver.grid(), solver.gather(),
                        serial_reference(cfg, steps));
+}
+
+// ------------------------------------- busy time from the solver's pools ----
+
+TEST(RebalanceBusySource, ForeignRegistryCountersAreIgnored) {
+  // Something else in the process owns the locality busy-time paths and
+  // reports a wildly skewed load; neither balancing loop may see it.
+  auto& reg = nlh::amt::counter_registry::instance();
+  const double foreign[] = {0.99, 0.01};
+  for (int l = 0; l < 2; ++l)
+    reg.register_counter(nlh::amt::busy_time_path(l),
+                         [v = foreign[l]] { return v; }, [] {});
+  auto is_foreign = [&](double busy) {
+    return busy == foreign[0] || busy == foreign[1];
+  };
+
+  dist::dist_config cfg;
+  cfg.sd_rows = cfg.sd_cols = 2;
+  cfg.sd_size = 8;
+  cfg.epsilon_factor = 2;
+  const dist::tiling t(2, 2, 8, 2);
+
+  {
+    dist::dist_solver solver(cfg, dist::ownership_map(t, 2, {0, 0, 1, 1}));
+    solver.set_initial_condition();
+    balance::real_balance_config rcfg;
+    rcfg.steps_per_iteration = 2;
+    rcfg.iterations = 2;
+    for (const auto& it : balance::run_real_balancing(solver, rcfg)) {
+      ASSERT_EQ(it.busy_fraction.size(), 2u);
+      for (const double b : it.busy_fraction) EXPECT_FALSE(is_foreign(b)) << b;
+    }
+  }
+
+  cfg.rebalance.enabled = true;
+  cfg.rebalance.interval = 1;
+  cfg.rebalance.trigger = 0.0;  // every check is an epoch
+  cfg.rebalance.cooldown = 0;
+  dist::dist_solver solver(cfg, dist::ownership_map(t, 2, {0, 0, 1, 1}));
+  int epochs = 0;
+  solver.rebalancer()->set_epoch_observer([&](const balance::balance_report& rep) {
+    ++epochs;
+    // power = max(count, 1) / busy (eq. 8): recover the busy time it used.
+    for (std::size_t l = 0; l < rep.power.size(); ++l) {
+      const double busy =
+          std::max(rep.sd_counts_before[l], 1) / rep.power[l];
+      EXPECT_FALSE(std::abs(busy - foreign[l]) < 1e-12) << "locality " << l;
+    }
+  });
+  solver.set_initial_condition();
+  solver.run(3);
+  EXPECT_EQ(epochs, 3);
+
+  for (int l = 0; l < 2; ++l) reg.unregister_counter(nlh::amt::busy_time_path(l));
 }
 
 // --------------------------------------------- partition/report property ----

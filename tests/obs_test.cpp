@@ -16,7 +16,9 @@
 #include <thread>
 #include <vector>
 
+#include "amt/async.hpp"
 #include "amt/counters.hpp"
+#include "amt/thread_pool.hpp"
 #include "api/batch.hpp"
 #include "api/session.hpp"
 #include "obs/config.hpp"
@@ -27,6 +29,7 @@
 
 namespace obs = nlh::obs;
 namespace api = nlh::api;
+namespace amt = nlh::amt;
 
 namespace {
 
@@ -151,6 +154,31 @@ TEST_F(ObsTest, ThreadsGetDistinctRingsAndNames) {
   }
   EXPECT_TRUE(saw_main);
   EXPECT_TRUE(saw_helper);
+}
+
+TEST_F(ObsTest, UntracedPoolWorkersAllocateNoRing) {
+  // Workers name themselves on start; with tracing off that must not
+  // register a ring (each would outlive its thread).
+  const auto before = obs::tracer::instance().thread_names().size();
+  for (int k = 0; k < 10; ++k) {
+    amt::thread_pool pool(4);
+    pool.post([] {});
+  }
+  EXPECT_EQ(obs::tracer::instance().thread_names().size(), before);
+}
+
+TEST_F(ObsTest, RecordingPoolWorkerCarriesItsName) {
+  obs::set_tracing_enabled(true);
+  {
+    amt::thread_pool pool(1);
+    amt::async(pool, [] { NLH_TRACE_INSTANT("test/worker_tick", 0); }).wait();
+  }
+  const auto ticks = named(obs::tracer::instance().snapshot(), "test/worker_tick");
+  ASSERT_EQ(ticks.size(), 1u);
+  bool named_worker = false;
+  for (const auto& [tid, name] : obs::tracer::instance().thread_names())
+    if (tid == ticks[0].tid) named_worker = name == "worker-0";
+  EXPECT_TRUE(named_worker);
 }
 
 TEST_F(ObsTest, RingWrapsKeepingNewestAndCountsDropped) {

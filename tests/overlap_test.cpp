@@ -1,7 +1,9 @@
 // Tests for the overlapped ghost exchange and its cached step_plan
 // (docs/overlap.md): the fine strip geometry utility, bitwise
 // serial==distributed equality for both schedules x every kernel backend,
-// plan invalidation across migrations (with the epoch-tagged migration
+// the plan's per-locality task batches (coverage, boundary-first order,
+// recompilation, and bitwise equality across batch boundaries), plan
+// invalidation across migrations (with the epoch-tagged migration
 // messages), and — via the comm_world delay model — the §6.3 property
 // itself: case-2 interiors complete while the ghosts are still in flight.
 
@@ -147,6 +149,131 @@ TEST(StepPlan, CachesMessageTableAndSplits) {
     EXPECT_EQ(sd.local_fills.size(), 1u);  // the same-column vertical pair
   }
 }
+
+namespace {
+
+/// The batching invariants of a compiled plan: every SD sits in exactly
+/// one batch of its owner's locality, each locality's boundary SDs come
+/// before its other SDs, each locality has min(owned, kBatchesPerWorker *
+/// threads) batches of near-equal size, and every message is sent by
+/// exactly the batch that holds its sender.
+void expect_valid_batches(const dist::step_plan& plan, const dist::ownership_map& own,
+                          int threads) {
+  std::vector<int> seen(plan.sds.size(), 0);
+  std::vector<int> sends_seen(plan.sends.size(), 0);
+  std::vector<int> batches_of(static_cast<std::size_t>(own.num_nodes()), 0);
+  std::vector<bool> past_boundary(static_cast<std::size_t>(own.num_nodes()), false);
+  for (const auto& b : plan.batches) {
+    ASSERT_FALSE(b.sds.empty());
+    ++batches_of[static_cast<std::size_t>(b.locality)];
+    for (const int sd : b.sds) {
+      ++seen[static_cast<std::size_t>(sd)];
+      EXPECT_EQ(own.owner(sd), b.locality) << "sd " << sd;
+      const bool boundary = plan.sds[static_cast<std::size_t>(sd)].boundary;
+      const bool past = past_boundary[static_cast<std::size_t>(b.locality)];
+      EXPECT_FALSE(boundary && past) << "boundary sd " << sd << " after an inner SD";
+      if (!boundary) past_boundary[static_cast<std::size_t>(b.locality)] = true;
+    }
+    for (const int i : b.sends) {
+      ++sends_seen[static_cast<std::size_t>(i)];
+      const int sender = plan.sends[static_cast<std::size_t>(i)].sender_sd;
+      EXPECT_NE(std::find(b.sds.begin(), b.sds.end(), sender), b.sds.end());
+    }
+  }
+  for (const int n : seen) EXPECT_EQ(n, 1);
+  for (const int n : sends_seen) EXPECT_EQ(n, 1);
+  const auto counts = own.sd_counts();
+  for (int l = 0; l < own.num_nodes(); ++l) {
+    const int owned = counts[static_cast<std::size_t>(l)];
+    EXPECT_EQ(batches_of[static_cast<std::size_t>(l)],
+              std::min(owned, dist::kBatchesPerWorker * threads))
+        << "locality " << l;
+  }
+  for (const auto& b : plan.batches) {
+    const int owned = counts[static_cast<std::size_t>(b.locality)];
+    const int k = batches_of[static_cast<std::size_t>(b.locality)];
+    EXPECT_GE(static_cast<int>(b.sds.size()), owned / k);
+    EXPECT_LE(static_cast<int>(b.sds.size()), (owned + k - 1) / k);
+  }
+}
+
+/// Owners of a 5x5 SD grid on 3 localities. Layout 0: contiguous blocks of
+/// 13 / 7 / 5 SDs, so no locality's SD count divides evenly into its 4
+/// batches at 1 worker, nor locality 0's into its 12 at 3 workers.
+/// Layout 1: round robin (9 / 8 / 8 SDs, nearly every SD on a locality
+/// boundary).
+std::vector<int> owners_5x5(int layout) {
+  std::vector<int> owner(25);
+  for (int sd = 0; sd < 25; ++sd)
+    owner[static_cast<std::size_t>(sd)] =
+        layout == 1 ? sd % 3 : (sd < 13 ? 0 : sd < 20 ? 1 : 2);
+  return owner;
+}
+
+}  // namespace
+
+TEST(StepPlan, BatchesCoverOwnersBoundaryFirstAndRecompileOnMigration) {
+  const dist::tiling t(5, 5, 6, 2);
+  const auto owner = owners_5x5(0);
+  for (const int threads : {1, 3}) {
+    dist::dist_config cfg;
+    cfg.sd_rows = cfg.sd_cols = 5;
+    cfg.sd_size = 6;
+    cfg.epsilon_factor = 2;
+    cfg.threads_per_locality = threads;
+    dist::dist_solver solver(cfg, dist::ownership_map(t, 3, owner));
+    expect_valid_batches(solver.plan(), solver.owners(), threads);
+
+    // Moving SD 0 (inner to locality 0) to locality 2 recompiles the batches.
+    solver.set_initial_condition();
+    solver.step();
+    solver.migrate_sd(0, 2);
+    solver.step();
+    EXPECT_EQ(solver.plan_compiles(), 2u);
+    const auto& plan = solver.plan();
+    expect_valid_batches(plan, solver.owners(), threads);
+    const auto holder =
+        std::find_if(plan.batches.begin(), plan.batches.end(), [](const auto& b) {
+          return std::find(b.sds.begin(), b.sds.end(), 0) != b.sds.end();
+        });
+    ASSERT_NE(holder, plan.batches.end());
+    EXPECT_EQ(holder->locality, 2);
+  }
+}
+
+// Batch boundaries must never show in the bits: serial == dist for pool
+// sizes whose batch counts differ (1 and 3 workers), for an ownership whose
+// per-locality SD counts do not divide into their batches, under both
+// schedules, with and without injected delivery delay.
+using BatchParam = std::tuple<dist::overlap_schedule, int, int, bool>;
+
+class BatchBoundaryEquivalence : public ::testing::TestWithParam<BatchParam> {};
+
+TEST_P(BatchBoundaryEquivalence, BitwiseMatchesSerialReference) {
+  const auto [sched, threads, layout, delayed] = GetParam();
+  dist::dist_config cfg;
+  cfg.sd_rows = cfg.sd_cols = 5;
+  cfg.sd_size = 6;
+  cfg.epsilon_factor = 2;
+  cfg.threads_per_locality = threads;
+  cfg.schedule = sched;
+  const dist::tiling t(5, 5, 6, 2);
+  dist::dist_solver solver(cfg, dist::ownership_map(t, 3, owners_5x5(layout)));
+  if (delayed)
+    solver.comm().set_delay_model([](int, int, std::uint64_t) { return 1e-3; });
+  solver.set_initial_condition();
+  solver.run(3);
+
+  expect_bitwise_equal(solver.grid(), solver.gather(), serial_reference(cfg, 3));
+  EXPECT_GT(solver.stats().messages, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SchedulesThreadsLayoutsDelays, BatchBoundaryEquivalence,
+    ::testing::Combine(::testing::Values(dist::overlap_schedule::bulk_sync,
+                                         dist::overlap_schedule::coarse),
+                       ::testing::Values(1, 3), ::testing::Values(0, 1),
+                       ::testing::Bool()));
 
 // ----------------- bitwise equality, schedules x backends x geometries ----
 
