@@ -7,7 +7,6 @@
 ///
 /// Usage: batch_service [--n 32] [--eps-factor 2] [--steps 5] [--sd-grid 4]
 ///                      [--nodes 2] [--pool-threads 4] [--cap 3]
-///                      [--policy fifo|priority]
 ///                      [--schedule coarse|bulk_sync]
 ///                      [--json PATH] [--soak]
 ///                      [--auto-rebalance] [--hibernate] [--resident-cap 3]
@@ -57,7 +56,7 @@
 /// `--trace-out` enables span tracing for the whole batch and writes a
 /// Chrome-tracing / Perfetto JSON timeline; `--metrics-out` writes the
 /// runner's full metrics snapshot (per-session step-latency histograms,
-/// queue-wait, bridged AGAS counters) — see docs/observability.md. The
+/// queue-wait, hibernation) — see docs/observability.md. The
 /// nightly soak passes both and uploads the files as artifacts.
 ///
 /// Exit status: 0 when every job succeeded (and, in sweep mode, every
@@ -250,14 +249,10 @@ int main(int argc, char** argv) try {
   api::batch_options bopt;
   bopt.pool_threads = static_cast<unsigned>(cli.get_int("pool-threads", 4));
   bopt.max_concurrent_jobs = cli.get_int("cap", 3);
-  // Closed value set mapped straight to the enum: a typo'd policy aborts
-  // with the valid spellings instead of silently running the default.
-  bopt.admission = cli.get_enum<api::admission_policy>(
-      "policy", api::admission_policy::fifo,
-      {{"fifo", api::admission_policy::fifo},
-       {"priority", api::admission_policy::priority}});
-  // Overlap schedule for the distributed jobs, same closed-set contract
-  // (session_options carries it by name; dist/dist_solver.hpp).
+  // Overlap schedule for the distributed jobs. Closed value set mapped
+  // straight to the enum: a typo'd schedule aborts with the valid
+  // spellings instead of silently running the default (session_options
+  // carries it by name; dist/dist_solver.hpp).
   const nlh::dist::overlap_schedule sched =
       cli.get_enum<nlh::dist::overlap_schedule>(
           "schedule", nlh::dist::overlap_schedule::coarse,

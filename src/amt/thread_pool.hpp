@@ -7,9 +7,9 @@
 /// Each worker owns a deque; `post` from a worker pushes to its own deque
 /// (LIFO hot path), external posts go to a shared inject queue, and idle
 /// workers steal FIFO from victims. Busy time (wall time spent executing
-/// tasks) is accumulated per worker and exposed through the counter registry
-/// as `/threads{locality#L/total}/busy_time`, the observable Algorithm 1
-/// consumes.
+/// tasks) is accumulated per worker and read through `busy_fraction()`, the
+/// observable Algorithm 1 consumes; each pool's owner reads its own pools,
+/// so tenants in one process never see each other's load.
 ///
 
 #include <atomic>
@@ -30,8 +30,8 @@ namespace nlh::amt {
 class thread_pool {
  public:
   /// \param num_threads worker count (>= 1)
-  /// \param locality    id used for the busy_time counter path; pass -1 to
-  ///                    skip counter registration (unit tests).
+  /// \param locality    the locality this pool serves (-1 = none); a label
+  ///                    for locality(), no process-wide registration.
   explicit thread_pool(unsigned num_threads, int locality = -1);
   ~thread_pool();
 

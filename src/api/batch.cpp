@@ -1,20 +1,19 @@
 ///
 /// \file batch.cpp
-/// \brief batch_runner implementation: admission queue (FIFO / priority),
-/// concurrency-capped execution on the shared pool, per-job result
-/// promises and aggregate metrics.
+/// \brief batch_runner implementation: FIFO admission through
+/// svc::class_scheduler, per-tenant serial execution on the shared pool,
+/// per-job result promises and aggregate metrics.
 ///
 
 #include "api/batch.hpp"
 
-#include <algorithm>
-#include <sstream>
-#include <stdexcept>
+#include <limits>
 #include <utility>
 
 #include "obs/metrics_export.hpp"
 #include "obs/tracer.hpp"
 #include "support/stopwatch.hpp"
+#include "support/validate.hpp"
 
 namespace nlh::api {
 
@@ -44,21 +43,33 @@ std::vector<std::string> validate(const batch_options& opt) {
 namespace {
 
 batch_options validated(batch_options opt) {
-  const auto errs = validate(opt);
-  if (!errs.empty()) {
-    std::ostringstream msg;
-    msg << "invalid batch_options (" << errs.size() << " problem"
-        << (errs.size() > 1 ? "s" : "") << "):";
-    for (const auto& e : errs) msg << "\n  - " << e;
-    throw std::invalid_argument(msg.str());
-  }
+  support::throw_if_invalid("batch_options", validate(opt));
   return opt;
 }
+
+/// FIFO admission is class_scheduler's no-QoS baseline; every batch job is
+/// one class, whose queue never refuses (submit never throws or sheds).
+svc::scheduler_options fifo_scheduler(const batch_options& opt) {
+  svc::scheduler_options s;
+  s.qos.enabled = false;
+  s.qos.batch.queue_cap = std::numeric_limits<int>::max();
+  s.max_concurrent = opt.max_concurrent_jobs;
+  return s;
+}
+
+constexpr const char* kClosed =
+    "abandoned: batch_runner is draining; admission is closed";
+constexpr const char* kDrained =
+    "abandoned: batch_runner drained before admission";
 
 }  // namespace
 
 batch_runner::batch_runner(batch_options opt)
-    : opt_(validated(opt)), pool_(opt_.pool_threads) {
+    : opt_(validated(std::move(opt))),
+      // Batch jobs carry no quota ready-time and QoS is off (no deadlines),
+      // so the scheduler's clock never decides anything.
+      sched_(fifo_scheduler(opt_), pool_, [] { return 0.0; }),
+      pool_(opt_.pool_threads) {
   if (opt_.hibernation.enabled)
     hib_ = std::make_unique<ckpt::hibernation_manager>(opt_.hibernation);
 }
@@ -66,37 +77,36 @@ batch_runner::batch_runner(batch_options opt)
 batch_runner::~batch_runner() { wait_all(); }
 
 amt::future<batch_job_result> batch_runner::submit(batch_job job) {
-  queued_job qj;
-  qj.job = std::move(job);
-  auto fut = qj.done.get_future();
-  bool refused = false;
+  auto j = std::make_shared<job_ctx>();
+  j->job = std::move(job);
+  auto fut = j->done.get_future();
+  bool refused = false, parked = false;
   {
     std::lock_guard<std::mutex> lk(mu_);
-    qj.seq = next_seq_++;
-    qj.submitted = std::chrono::steady_clock::now();
-    if (qj.job.label.empty()) qj.job.label = "job-" + std::to_string(qj.seq);
+    j->seq = next_seq_++;
+    j->submitted = std::chrono::steady_clock::now();
+    if (j->job.label.empty()) j->job.label = "job-" + std::to_string(j->seq);
     if (!clock_started_) {
       clock_started_ = true;
-      first_submit_ = qj.submitted;
+      first_submit_ = j->submitted;
     }
     ++agg_.jobs_submitted;
-    NLH_TRACE_INSTANT("api/job_submit", qj.seq);
-    if (draining_) {
-      // Admission is closed for good: fail fast below (outside mu_ — the
-      // future's continuations run inline on set_value).
-      ++agg_.jobs_abandoned;
+    NLH_TRACE_INSTANT("api/job_submit", j->seq);
+    // Checked under mu_, so drain() (which sets draining before it
+    // collects the waiting jobs under mu_) never misses a parked job.
+    if (sched_.draining()) {
       refused = true;
-    } else {
-      queue_.push_back(std::move(qj));
-      pump_locked();
+    } else if (!j->job.session_key.empty()) {
+      auto& t = tenants_[j->job.session_key];
+      parked = t.busy;
+      if (parked) t.waiting.push_back(j);  // its turn comes in release_tenant
+      t.busy = true;
     }
   }
-  if (refused) {
-    batch_job_result res;
-    res.label = qj.job.label;
-    res.error = "abandoned: batch_runner is draining; admission is closed";
-    qj.done.set_value(std::move(res));
-  }
+  if (refused)
+    abandon(j, kClosed, /*holds_tenant=*/false);
+  else if (!parked)
+    dispatch(std::move(j));
   return fut;
 }
 
@@ -108,60 +118,63 @@ std::vector<amt::future<batch_job_result>> batch_runner::submit_all(
   return futs;
 }
 
-void batch_runner::pump_locked() {
-  // A job whose persistent tenant is mid-job must wait: same-key jobs run
-  // strictly serially (this is also what keeps the hibernation callbacks
-  // race-free). Key-less jobs are always eligible.
-  const auto eligible = [&](const queued_job& q) {
-    if (q.job.session_key.empty()) return true;
-    const auto t = tenants_.find(q.job.session_key);
-    return t == tenants_.end() || !t->second.busy;
+void batch_runner::dispatch(job_ptr j) {
+  svc::sched_item item;
+  item.cls = svc::qos_class::batch;
+  item.seq = j->seq;
+  item.run = [this, j] { execute(j); };
+  item.shed = [this, j](const std::string&) {
+    abandon(j, kDrained, /*holds_tenant=*/true);
   };
-  while (running_ < opt_.max_concurrent_jobs && !queue_.empty()) {
-    // FIFO admits the oldest eligible; priority admits the highest
-    // priority, oldest among equals. The queue is small (pending jobs),
-    // so a linear scan beats maintaining a heap.
-    auto it = queue_.end();
-    for (auto j = queue_.begin(); j != queue_.end(); ++j) {
-      if (!eligible(*j)) continue;
-      if (it == queue_.end()) {
-        it = j;
-        if (opt_.admission == admission_policy::fifo) break;
-        continue;
-      }
-      if (j->job.priority > it->job.priority ||
-          (j->job.priority == it->job.priority && j->seq < it->seq))
-        it = j;
-    }
-    if (it == queue_.end()) break;  // every pending job's tenant is mid-job
-    // Mark the tenant busy at admission (creating its slot on first use)
-    // so a later pump pass cannot double-book the key.
-    if (!it->job.session_key.empty()) tenants_[it->job.session_key].busy = true;
-    queued_job qj = std::move(*it);
-    queue_.erase(it);
-    ++running_;
-    NLH_TRACE_INSTANT("api/job_admit", qj.seq);
-    // unique_function is move-only-friendly, so the job rides the task.
-    pool_.post([this, qj = std::move(qj)]() mutable { execute(std::move(qj)); });
-  }
+  if (sched_.enqueue(std::move(item)) != svc::class_scheduler::enqueue_result::queued)
+    abandon(j, kClosed, /*holds_tenant=*/true);
 }
 
-void batch_runner::execute(queued_job qj) {
+void batch_runner::release_tenant(const std::string& key) {
+  job_ptr next;
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    auto& t = tenants_.at(key);
+    if (t.waiting.empty() || sched_.draining()) {
+      t.busy = false;
+      return;
+    }
+    next = std::move(t.waiting.front());
+    t.waiting.pop_front();
+  }
+  dispatch(std::move(next));  // the tenant stays busy: `next` holds it now
+}
+
+void batch_runner::abandon(const job_ptr& j, const char* why, bool holds_tenant) {
+  NLH_TRACE_INSTANT("api/job_abandon", j->seq);
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    ++agg_.jobs_abandoned;
+  }
+  if (holds_tenant && !j->job.session_key.empty()) release_tenant(j->job.session_key);
+  batch_job_result res;
+  res.label = j->job.label;
+  res.error = why;
+  j->done.set_value(std::move(res));
+}
+
+void batch_runner::execute(const job_ptr& j) {
   batch_job_result res;
   // The job span closes before the promise resolves, so a caller that
   // snapshots the tracer right after the last future fires sees every job.
   {
-    NLH_TRACE_SPAN_ARG("api/job", qj.seq);
+    NLH_TRACE_INSTANT("api/job_admit", j->seq);
+    NLH_TRACE_SPAN_ARG("api/job", j->seq);
     const double waited = std::chrono::duration<double>(
-                              std::chrono::steady_clock::now() - qj.submitted)
+                              std::chrono::steady_clock::now() - j->submitted)
                               .count();
     queue_wait_hist_.record(waited);
     {
       // Per-admission-class split: insertion under mu_, recording outside
       // (node addresses are stable; the histogram is thread-safe).
-      const std::string& cls = qj.job.admission_class.empty()
+      const std::string& cls = j->job.admission_class.empty()
                                    ? std::string("default")
-                                   : qj.job.admission_class;
+                                   : j->job.admission_class;
       obs::histogram* h = nullptr;
       {
         std::lock_guard<std::mutex> lk(mu_);
@@ -170,24 +183,24 @@ void batch_runner::execute(queued_job qj) {
       h->record(waited);
     }
     support::stopwatch job_sw;
-    res.label = qj.job.label;
+    res.label = j->job.label;
     long long steps_done = 0;
     std::uint64_t ghost_delta = 0;
     try {
-      if (qj.job.session_key.empty()) {
+      if (j->job.session_key.empty()) {
         // Ephemeral job: the session lives and dies with it.
-        session s(qj.job.options);
+        session s(j->job.options);
         auto& h = s.solver();
         const int steps =
-            qj.job.num_steps > 0 ? qj.job.num_steps : qj.job.options.num_steps;
+            j->job.num_steps > 0 ? j->job.num_steps : j->job.options.num_steps;
         h.run(steps);
-        if (qj.job.on_complete) qj.job.on_complete(s);
+        if (j->job.on_complete) j->job.on_complete(s);
         res.metrics = h.metrics();
         res.ok = true;
         steps_done = res.metrics.steps;
         ghost_delta = res.metrics.ghost_bytes;
       } else {
-        execute_tenant(qj, res, steps_done, ghost_delta);
+        execute_tenant(*j, res, steps_done, ghost_delta);
       }
     } catch (const std::exception& e) {
       res.error = e.what();
@@ -196,40 +209,36 @@ void batch_runner::execute(queued_job qj) {
     }
 
     job_duration_hist_.record(job_sw.elapsed_s());
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      --running_;
-      if (!qj.job.session_key.empty())
-        tenants_[qj.job.session_key].busy = false;
-      if (res.ok) {
-        ++agg_.jobs_completed;
-        agg_.total_steps += steps_done;
-        agg_.ghost_bytes += ghost_delta;
-        job_step_latency_.emplace_back(res.label, res.metrics.step_latency);
-        if (qj.job.options.auto_rebalance.enabled)
-          job_rebalance_.push_back({res.label, res.metrics.rebalance_epochs,
-                                    res.metrics.rebalance_moves,
-                                    res.metrics.rebalance_imbalance_before,
-                                    res.metrics.rebalance_imbalance_after});
-      } else {
-        ++agg_.jobs_failed;
-      }
-      agg_.wall_seconds = std::chrono::duration<double>(
-                              std::chrono::steady_clock::now() - first_submit_)
-                              .count();
-      pump_locked();
+    std::lock_guard<std::mutex> lk(mu_);
+    if (res.ok) {
+      ++agg_.jobs_completed;
+      agg_.total_steps += steps_done;
+      agg_.ghost_bytes += ghost_delta;
+      job_step_latency_.emplace_back(res.label, res.metrics.step_latency);
+      if (j->job.options.auto_rebalance.enabled)
+        job_rebalance_.push_back({res.label, res.metrics.rebalance_epochs,
+                                  res.metrics.rebalance_moves,
+                                  res.metrics.rebalance_imbalance_before,
+                                  res.metrics.rebalance_imbalance_after});
+    } else {
+      ++agg_.jobs_failed;
     }
-    idle_cv_.notify_all();
+    agg_.wall_seconds = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - first_submit_)
+                            .count();
   }
+  // Still inside the pool task, so the tenant's next job is queued before
+  // the scheduler frees this slot: wait_all() never sees a gap.
+  if (!j->job.session_key.empty()) release_tenant(j->job.session_key);
   // Fulfill outside mu_: user continuations attached to the future run
   // inline here and must be free to call back into the runner.
-  qj.done.set_value(std::move(res));
+  j->done.set_value(std::move(res));
 }
 
-void batch_runner::execute_tenant(queued_job& qj, batch_job_result& res,
+void batch_runner::execute_tenant(job_ctx& j, batch_job_result& res,
                                   long long& steps_done,
                                   std::uint64_t& ghost_delta) {
-  const std::string& key = qj.job.session_key;
+  const std::string& key = j.job.session_key;
   tenant* t = nullptr;
   {
     std::lock_guard<std::mutex> lk(mu_);
@@ -240,7 +249,7 @@ void batch_runner::execute_tenant(queued_job& qj, batch_job_result& res,
     // hibernation for tenants, so the session's own single-entry manager
     // stays off; the batch-level codec choice rides along for the frame
     // encoding of export_and_release().
-    session_options o = qj.job.options;
+    session_options o = j.job.options;
     o.hibernation.enabled = false;
     if (hib_) o.hibernation.codec = opt_.hibernation.codec;
     t->sess = std::make_unique<session>(std::move(o));
@@ -268,9 +277,9 @@ void batch_runner::execute_tenant(queued_job& qj, batch_job_result& res,
   } guard{hib_.get(), key};
   const runtime_metrics before = h.metrics();
   const int steps =
-      qj.job.num_steps > 0 ? qj.job.num_steps : qj.job.options.num_steps;
+      j.job.num_steps > 0 ? j.job.num_steps : j.job.options.num_steps;
   h.run(steps);
-  if (qj.job.on_complete) qj.job.on_complete(*t->sess);
+  if (j.job.on_complete) j.job.on_complete(*t->sess);
   res.metrics = h.metrics();
   res.ok = true;
   steps_done = res.metrics.steps - before.steps;
@@ -282,38 +291,24 @@ std::size_t batch_runner::tenant_count() const {
   return tenants_.size();
 }
 
-void batch_runner::wait_all() {
-  std::unique_lock<std::mutex> lk(mu_);
-  idle_cv_.wait(lk, [&] { return queue_.empty() && running_ == 0; });
-}
+void batch_runner::wait_all() { sched_.wait_idle(); }
 
-batch_drain_report batch_runner::drain(double timeout_seconds) {
-  batch_drain_report rep;
-  std::vector<queued_job> abandoned;
-  std::unique_lock<std::mutex> lk(mu_);
-  draining_ = true;
-  abandoned.swap(queue_);  // nothing queued is ever admitted again
-  rep.abandoned = static_cast<int>(abandoned.size());
-  agg_.jobs_abandoned += rep.abandoned;
-  const int was_running = running_;
-  lk.unlock();
-  // Fail the abandoned jobs fast, outside mu_ (continuations run inline).
-  for (auto& qj : abandoned) {
-    batch_job_result res;
-    res.label = qj.job.label;
-    res.error = "abandoned: batch_runner drained before admission";
-    NLH_TRACE_INSTANT("api/job_abandon", qj.seq);
-    qj.done.set_value(std::move(res));
+svc::class_scheduler::drain_report batch_runner::drain(double timeout_seconds) {
+  // Queued jobs are shed by the scheduler (abandon(kDrained) each); jobs
+  // waiting behind a busy tenant never reached it, so collect them here —
+  // draining is already set, so no submit or release_tenant adds more.
+  auto rep = sched_.drain(timeout_seconds);
+  std::vector<job_ptr> waiting;
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    for (auto& kv : tenants_) {
+      auto& q = kv.second.waiting;
+      waiting.insert(waiting.end(), q.begin(), q.end());
+      q.clear();
+    }
   }
-  lk.lock();
-  if (timeout_seconds < 0.0) {
-    idle_cv_.wait(lk, [&] { return running_ == 0; });
-  } else {
-    idle_cv_.wait_for(lk, std::chrono::duration<double>(timeout_seconds),
-                      [&] { return running_ == 0; });
-  }
-  rep.still_running = running_;
-  rep.in_flight_completed = was_running - rep.still_running;
+  for (const auto& j : waiting) abandon(j, kDrained, /*holds_tenant=*/false);
+  rep.abandoned += static_cast<int>(waiting.size());
   return rep;
 }
 
@@ -322,7 +317,8 @@ batch_metrics batch_runner::aggregate() const {
   batch_metrics m = agg_;
   // A still-running batch reads "so far": agg_.wall_seconds is only
   // stamped at job completions, so extend it to now while work remains.
-  if (clock_started_ && (running_ > 0 || !queue_.empty()))
+  if (clock_started_ && (sched_.running() > 0 ||
+                         sched_.queue_depth(svc::qos_class::batch) > 0))
     m.wall_seconds = std::chrono::duration<double>(
                          std::chrono::steady_clock::now() - first_submit_)
                          .count();
@@ -374,9 +370,6 @@ obs::metrics_snapshot batch_runner::metrics_snapshot() const {
     std::lock_guard<std::mutex> lk(mu_);
     snap.add_gauge("api/batch/tenants", static_cast<double>(tenants_.size()));
   }
-  // Live AGAS counter paths (pool busy times, comm traffic) ride along so
-  // one exported file carries the whole process view.
-  obs::bridge_counter_registry(snap);
   return snap;
 }
 

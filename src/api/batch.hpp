@@ -7,10 +7,11 @@
 ///
 /// Each `batch_job` is a complete run description (session_options +
 /// step budget); `submit` returns an `amt::future<batch_job_result>`
-/// immediately. Jobs wait in an admission queue (FIFO or priority order)
-/// and at most `batch_options::max_concurrent_jobs` of them execute at a
-/// time on the shared pool, each building its own `session` — so jobs
-/// with different scenarios, kernel backends and execution modes run
+/// immediately. Admission is FIFO through a `svc::class_scheduler` in its
+/// no-QoS configuration (the same dispatcher the `svc` front door uses,
+/// docs/service.md): at most `batch_options::max_concurrent_jobs` jobs
+/// execute at a time on the shared pool, each building its own `session` —
+/// so jobs with different scenarios, kernel backends and execution modes run
 /// concurrently in one process, each keeping its bitwise guarantees
 /// (per-session backends, `tests/batch_test.cpp`). Aggregate throughput
 /// metrics (jobs/sec, wall, ghost bytes) accumulate as jobs complete.
@@ -21,8 +22,8 @@
 ///
 
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -35,6 +36,7 @@
 #include "api/session.hpp"
 #include "ckpt/hibernation.hpp"
 #include "obs/metrics.hpp"
+#include "svc/scheduler.hpp"
 
 namespace nlh::api {
 
@@ -44,9 +46,6 @@ struct batch_job {
   session_options options;
   /// Steps to advance; 0 = options.num_steps.
   int num_steps = 0;
-  /// Larger runs earlier under admission_policy::priority (FIFO among
-  /// equal priorities); ignored under FIFO.
-  int priority = 0;
   /// Identifier echoed into the result; empty = "job-<sequence>".
   std::string label;
   /// Empty (the default) keeps the historical behaviour: the job builds
@@ -62,8 +61,8 @@ struct batch_job {
   /// submit -> start wait is recorded both into the aggregate
   /// `api/batch/queue_wait_seconds` and into
   /// `api/batch/queue_wait_seconds/<admission_class>` (empty = "default").
-  /// Purely observational here — the runner still admits FIFO/priority;
-  /// differentiated scheduling lives in `src/svc/` (docs/service.md). The
+  /// Purely observational here — the runner admits FIFO; differentiated
+  /// scheduling lives in `src/svc/` (docs/service.md). The
   /// split is what makes the no-QoS batch path and the `svc` path
   /// comparable class-by-class in one metrics snapshot.
   std::string admission_class;
@@ -82,12 +81,6 @@ struct batch_job_result {
   runtime_metrics metrics;
 };
 
-/// How queued jobs are admitted when a concurrency slot frees up.
-enum class admission_policy {
-  fifo,      ///< strict submission order
-  priority,  ///< highest batch_job::priority first, FIFO among equals
-};
-
 struct batch_options {
   /// Workers of the shared AMT pool. Each *running* job occupies one
   /// worker for its whole duration, so keep pool_threads >=
@@ -96,7 +89,6 @@ struct batch_options {
   unsigned pool_threads = 4;
   /// Admission cap: jobs executing simultaneously.
   int max_concurrent_jobs = 2;
-  admission_policy admission = admission_policy::fifo;
   /// Hibernation of idle persistent tenants (docs/checkpoint.md): when
   /// enabled, at most `hibernation.resident_cap` tenant sessions stay in
   /// memory; the least-recently-used parked ones are compressed to cold
@@ -125,21 +117,6 @@ struct batch_metrics {
 /// Validate `opt`, one actionable message per offence; empty = valid.
 std::vector<std::string> validate(const batch_options& opt);
 
-/// What batch_runner::drain found and did (docs/service.md has the
-/// sibling service-level drain).
-struct batch_drain_report {
-  /// Queued jobs that never ran: their futures resolved with ok=false and
-  /// an "abandoned: ..." error.
-  int abandoned = 0;
-  /// Jobs that were executing when drain began and finished within the
-  /// timeout.
-  int in_flight_completed = 0;
-  /// Jobs still executing when the timeout expired (0 on a clean drain —
-  /// the runner keeps waiting for them in its destructor either way).
-  int still_running = 0;
-  bool clean() const { return still_running == 0; }
-};
-
 class batch_runner {
  public:
   /// Throws std::invalid_argument when validate(opt) reports problems.
@@ -155,28 +132,29 @@ class batch_runner {
   /// on job-level problems — those resolve into batch_job_result::error.
   amt::future<batch_job_result> submit(batch_job job);
 
-  /// Queue many jobs at once (one admission-queue pass, same ordering
-  /// semantics as repeated submit calls).
+  /// Queue many jobs at once (same ordering semantics as repeated submit
+  /// calls).
   std::vector<amt::future<batch_job_result>> submit_all(std::vector<batch_job> jobs);
 
   /// Block until every submitted job has completed.
   void wait_all();
 
-  /// Graceful shutdown: stop admission permanently, fail every queued job
-  /// fast with a distinct "abandoned: ..." error, and wait up to
-  /// `timeout_seconds` (< 0 = forever) for in-flight jobs to finish. Jobs
-  /// submitted afterwards also fail fast. Idempotent — a second call just
-  /// re-waits on whatever is still running.
-  batch_drain_report drain(double timeout_seconds);
+  /// Graceful shutdown: stop admission permanently, wait up to
+  /// `timeout_seconds` (< 0 = forever) for in-flight jobs to finish, and
+  /// fail every job that never started fast with a distinct
+  /// "abandoned: ..." error. `abandoned` counts those jobs (queued ones and
+  /// ones waiting behind their busy tenant); `still_running` is 0 on a
+  /// clean drain — the runner keeps waiting for stragglers in its
+  /// destructor either way. Jobs submitted afterwards also fail fast.
+  /// Idempotent — a second call just re-waits on whatever is still running.
+  svc::class_scheduler::drain_report drain(double timeout_seconds);
 
   /// Snapshot of the aggregate counters (safe any time; wall_seconds of a
   /// still-running batch reads "so far").
   batch_metrics aggregate() const;
 
   /// aggregate() plus the per-job step-latency summaries of every
-  /// completed job, as `api/batch/...` / `api/job/<label>/...` instruments,
-  /// with the process AGAS counter paths bridged in
-  /// (obs::bridge_counter_registry).
+  /// completed job, as `api/batch/...` / `api/job/<label>/...` instruments.
   obs::metrics_snapshot metrics_snapshot() const;
   /// Write metrics_snapshot() as JSON to `path` (obs/metrics_export.hpp).
   void dump_metrics(const std::string& path) const;
@@ -192,34 +170,37 @@ class batch_runner {
   std::size_t tenant_count() const;
 
  private:
-  struct queued_job {
+  /// One submission; shared by the scheduler's run and shed closures
+  /// (exactly one of them fires) or parked behind its busy tenant.
+  struct job_ctx {
     batch_job job;
     amt::promise<batch_job_result> done;
-    std::uint64_t seq = 0;  ///< FIFO tiebreak
+    std::uint64_t seq = 0;
     std::chrono::steady_clock::time_point submitted;  ///< queue-wait origin
   };
+  using job_ptr = std::shared_ptr<job_ctx>;
 
-  /// Admit queued jobs while slots are free, skipping jobs whose tenant
-  /// is mid-job (same-key jobs run strictly serially — also what makes
-  /// the hibernation callbacks safe to run without per-session locks).
-  /// Caller holds mu_.
-  void pump_locked();
+  /// Hand a job to the scheduler; a refusal (drain started) abandons it.
+  /// A keyed job holds its tenant when dispatched.
+  void dispatch(job_ptr j);
   /// Runs on a pool worker: build (or reactivate) the session, step,
-  /// fulfill the promise.
-  void execute(queued_job qj);
+  /// pass the tenant on, fulfill the promise.
+  void execute(const job_ptr& j);
   /// The persistent-tenant body of execute(): reuse/build the keyed
   /// session, activate/park around the run. Tenant metrics span the
   /// tenant's whole life, so the job is charged deltas (`steps_done`,
   /// `ghost_delta`), not the cumulative counters.
-  void execute_tenant(queued_job& qj, batch_job_result& res,
+  void execute_tenant(job_ctx& j, batch_job_result& res,
                       long long& steps_done, std::uint64_t& ghost_delta);
+  /// Called by the job holding `key`'s tenant when it ends: dispatch the
+  /// tenant's next waiting job, or mark the tenant idle. While draining,
+  /// waiting jobs stay where drain() abandons them.
+  void release_tenant(const std::string& key);
+  /// Fail a job that never ran with an "abandoned: ..." `why`.
+  void abandon(const job_ptr& j, const char* why, bool holds_tenant);
 
   batch_options opt_;
   mutable std::mutex mu_;
-  std::condition_variable idle_cv_;
-  std::vector<queued_job> queue_;
-  int running_ = 0;
-  bool draining_ = false;  ///< set (forever) by drain(): admission is closed
   std::uint64_t next_seq_ = 0;
   batch_metrics agg_;
   bool clock_started_ = false;
@@ -246,19 +227,26 @@ class batch_runner {
     double imbalance_after = 0.0;
   };
   std::vector<job_rebalance> job_rebalance_;
-  /// Persistent tenants (batch_job::session_key); guarded by mu_. `busy`
-  /// is set at admission and cleared at completion, so pump_locked never
-  /// double-books a key. Sessions are heap-stable: execute() touches them
+  /// Persistent tenants (batch_job::session_key); guarded by mu_. While
+  /// `busy`, exactly one of the tenant's jobs is with the scheduler
+  /// (queued or running) and later ones wait in `waiting`, FIFO — same-key
+  /// jobs run strictly serially, which is also what keeps the hibernation
+  /// callbacks race-free. Sessions are heap-stable: execute() touches them
   /// outside mu_ while their busy flag protects them.
   struct tenant {
     std::unique_ptr<session> sess;
     bool busy = false;
     bool registered = false;  ///< added to hib_ already
+    std::deque<job_ptr> waiting;
   };
   std::map<std::string, tenant> tenants_;
   /// LRU hibernation of parked tenants; null unless
   /// batch_options::hibernation.enabled.
   std::unique_ptr<ckpt::hibernation_manager> hib_;
+  /// FIFO admission and the concurrency cap. Declared before pool_ (as in
+  /// svc::service_loop): pool tasks call back into sched_, so the pool
+  /// joins its workers first; the constructor only stores the pool.
+  svc::class_scheduler sched_;
   amt::thread_pool pool_;  ///< last member: joins before the state above dies
 };
 

@@ -25,6 +25,7 @@
 #include "partition/partitioner.hpp"
 #include "support/assert.hpp"
 #include "support/stopwatch.hpp"
+#include "support/validate.hpp"
 
 namespace nlh::api {
 
@@ -689,13 +690,7 @@ session::session(session_options opt) : opt_(std::move(opt)) {
   }
   const auto rest = validate_resolved(opt_, scenario_.get());
   errs.insert(errs.end(), rest.begin(), rest.end());
-  if (!errs.empty()) {
-    std::ostringstream msg;
-    msg << "invalid session_options (" << errs.size() << " problem"
-        << (errs.size() > 1 ? "s" : "") << "):";
-    for (const auto& e : errs) msg << "\n  - " << e;
-    throw std::invalid_argument(msg.str());
-  }
+  support::throw_if_invalid("session_options", errs);
 
   // The backend choice is applied per solver (the handle pins its
   // stencil_plan at construction) — never to the process default — so

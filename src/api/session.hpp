@@ -280,7 +280,7 @@ class solver_handle {
   /// self-contained blob (encoding into `reuse`'s recycled capacity) and
   /// release the in-memory solver / rebuild it from such a blob. The
   /// managing layer must serialize these against all stepping of the same
-  /// handle (batch admission does). Without a manager, a released handle
+  /// handle (batch tenancy does). Without a manager, a released handle
   /// asserts on use until import_state() runs.
   ckpt::snapshot_blob export_and_release(net::byte_buffer reuse = {});
   void import_state(const net::byte_buffer& bytes);

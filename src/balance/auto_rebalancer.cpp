@@ -18,9 +18,8 @@ namespace nlh::balance {
 
 namespace {
 
-/// Busy time read from this solver's own pools. Never from the
-/// process-wide counter registry: its locality paths are shared by every
-/// tenant in the process, so one tenant would balance on another's load.
+/// Busy time read from this solver's own pools, so each tenant balances on
+/// its own load only.
 std::vector<double> default_sample(const dist::dist_solver& solver) {
   std::vector<double> busy;
   busy.reserve(static_cast<std::size_t>(solver.owners().num_nodes()));

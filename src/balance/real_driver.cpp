@@ -13,8 +13,7 @@ std::vector<real_balance_iteration> run_real_balancing(dist::dist_solver& solver
     solver.reset_busy_counters();
     solver.run(cfg.steps_per_iteration);
 
-    // The solver's own pools, never the process-wide counter registry
-    // (shared by every tenant in the process).
+    // The solver's own pools: busy time is per tenant, never process-wide.
     entry.busy_fraction.reserve(static_cast<std::size_t>(solver.owners().num_nodes()));
     for (int l = 0; l < solver.owners().num_nodes(); ++l)
       entry.busy_fraction.push_back(solver.busy_fraction(l));

@@ -18,8 +18,8 @@
 /// how `api::solver_handle` plugs in without this layer depending on the
 /// api facade. Callbacks run under the manager mutex, so hibernates and
 /// restores serialize across sessions; per-session callers must already be
-/// serialized (batch_runner admission guarantees it) since activate/park
-/// pairs for one key must not interleave.
+/// serialized (batch_runner's per-tenant FIFO guarantees it) since
+/// activate/park pairs for one key must not interleave.
 ///
 
 #include <cstdint>

@@ -11,7 +11,6 @@
 #include <algorithm>
 #include <chrono>
 #include <sstream>
-#include <stdexcept>
 #include <utility>
 
 #include "amt/async.hpp"
@@ -20,6 +19,7 @@
 #include "nonlocal/nonlocal_operator.hpp"
 #include "obs/tracer.hpp"
 #include "support/stopwatch.hpp"
+#include "support/validate.hpp"
 
 namespace nlh::dist {
 
@@ -114,14 +114,7 @@ namespace {
 /// Throwing gate run before any member construction, so a bad config never
 /// reaches the tiling/grid asserts.
 dist_config validated(dist_config cfg) {
-  const auto errs = validate(cfg);
-  if (!errs.empty()) {
-    std::ostringstream msg;
-    msg << "invalid dist_config (" << errs.size() << " problem"
-        << (errs.size() > 1 ? "s" : "") << "):";
-    for (const auto& e : errs) msg << "\n  - " << e;
-    throw std::invalid_argument(msg.str());
-  }
+  support::throw_if_invalid("dist_config", validate(cfg));
   return cfg;
 }
 

@@ -98,7 +98,7 @@ class histogram {
 };
 
 /// Plain-data snapshot of a registry (plus anything callers append by
-/// hand, e.g. per-job summaries or bridged amt::counter_registry paths).
+/// hand, e.g. per-job summaries or a solver's per-pool busy fractions).
 struct metrics_snapshot {
   std::vector<std::pair<std::string, std::uint64_t>> counters;
   std::vector<std::pair<std::string, double>> gauges;
@@ -131,23 +131,11 @@ class metrics_registry {
 
   metrics_snapshot snapshot() const;
 
-  /// Process-wide registry for code without a natural owner (sessions and
-  /// runners own their local registries; bridged snapshots combine both).
-  static metrics_registry& global();
-
  private:
   mutable std::mutex m_;
   std::map<std::string, std::unique_ptr<counter>> counters_;
   std::map<std::string, std::unique_ptr<gauge>> gauges_;
   std::map<std::string, std::unique_ptr<histogram>> histograms_;
 };
-
-/// Adapter over the existing `amt::counter_registry` (HPX-style AGAS
-/// counter paths): append every registered path containing `substring`
-/// (empty = all) to `into` as a gauge, polled race-safely through
-/// `try_value` — a counter unregistered mid-enumeration is skipped, never
-/// a crash.
-void bridge_counter_registry(metrics_snapshot& into,
-                             const std::string& substring = "");
 
 }  // namespace nlh::obs

@@ -186,8 +186,11 @@ class_scheduler::drain_report class_scheduler::drain(double timeout_s) {
     std::unique_lock<std::mutex> lk(mu_);
     draining_ = true;
     rep.in_flight = running_;
-    idle_cv_.wait_for(lk, std::chrono::duration<double>(timeout_s),
-                      [&] { return running_ == 0; });
+    const auto settled = [&] { return running_ == 0; };
+    if (timeout_s < 0.0)
+      idle_cv_.wait(lk, settled);
+    else
+      idle_cv_.wait_for(lk, std::chrono::duration<double>(timeout_s), settled);
     rep.still_running = running_;
     for (auto& q : queues_) {
       for (auto& item : q) {

@@ -6,14 +6,15 @@
 ///
 /// One bounded FIFO queue per `qos_class`; at most
 /// `scheduler_options::max_concurrent` items execute simultaneously, each
-/// occupying one pool worker for its duration (the same slot model as
-/// `api::batch_runner`). Slot assignment is deficit round-robin: every
-/// class carries a credit balance capped at its weight; a dispatch costs
-/// one credit, and when no backlogged class has credit left a new round
-/// tops every class back up to its weight — so under saturation class
-/// service rates converge to the weight ratio (8:3:1 by default) while
-/// any single backlogged class gets the whole pool when the others are
-/// idle (work conserving).
+/// occupying one pool worker for its duration. It is the only job
+/// dispatcher in the library: `svc::service_loop` runs it with QoS on,
+/// `api::batch_runner` with QoS off (plain FIFO). Slot assignment is
+/// deficit round-robin: every class carries a credit balance capped at its
+/// weight; a dispatch costs one credit, and when no backlogged class has
+/// credit left a new round tops every class back up to its weight — so
+/// under saturation class service rates converge to the weight ratio
+/// (8:3:1 by default) while any single backlogged class gets the whole
+/// pool when the others are idle (work conserving).
 ///
 /// Backpressure and load shedding are explicit, never implicit latency:
 ///   - a class queue at its `queue_cap` refuses the enqueue (the caller
@@ -102,8 +103,9 @@ class class_scheduler {
   };
 
   /// Stop dispatching (enqueue starts refusing with `draining`), wait up
-  /// to `timeout_s` for in-flight items, then shed everything still
-  /// queued. Idempotent; the scheduler stays drained afterwards.
+  /// to `timeout_s` (< 0 = until they finish) for in-flight items, then
+  /// shed everything still queued. Idempotent; the scheduler stays drained
+  /// afterwards.
   drain_report drain(double timeout_s);
 
   bool draining() const;

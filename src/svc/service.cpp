@@ -7,12 +7,11 @@
 
 #include "svc/service.hpp"
 
-#include <sstream>
-#include <stdexcept>
 #include <utility>
 
 #include "obs/metrics_export.hpp"
 #include "obs/tracer.hpp"
+#include "support/validate.hpp"
 
 namespace nlh::svc {
 
@@ -59,14 +58,7 @@ std::vector<std::string> validate(const service_options& opt) {
 namespace {
 
 service_options validated(service_options opt) {
-  const auto errs = validate(opt);
-  if (!errs.empty()) {
-    std::ostringstream msg;
-    msg << "invalid service_options (" << errs.size() << " problem"
-        << (errs.size() > 1 ? "s" : "") << "):";
-    for (const auto& e : errs) msg << "\n  - " << e;
-    throw std::invalid_argument(msg.str());
-  }
+  support::throw_if_invalid("service_options", validate(opt));
   return opt;
 }
 
@@ -310,9 +302,6 @@ obs::metrics_snapshot service_loop::metrics_snapshot() const {
   snap.add_gauge("svc/jobs_per_second", st.jobs_per_second);
   quota_.metrics_into(snap);
   sched_.metrics_into(snap);
-  // Live AGAS counter paths (pool busy times) ride along so one exported
-  // file carries the whole process view.
-  obs::bridge_counter_registry(snap);
   return snap;
 }
 

@@ -142,7 +142,7 @@ class service_loop {
   service_stats stats() const;
 
   /// The full `svc/*` view (per-class counters + histograms, quota,
-  /// scheduler, jobs/sec) with the process AGAS counter paths bridged in.
+  /// scheduler, jobs/sec).
   obs::metrics_snapshot metrics_snapshot() const;
   /// Write metrics_snapshot() as JSON to `path` (obs/metrics_export.hpp).
   void dump_metrics(const std::string& path) const;

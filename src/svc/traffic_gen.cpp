@@ -7,11 +7,10 @@
 
 #include <chrono>
 #include <cmath>
-#include <sstream>
-#include <stdexcept>
 #include <thread>
 
 #include "support/rng.hpp"
+#include "support/validate.hpp"
 
 namespace nlh::svc {
 
@@ -61,13 +60,7 @@ double exp_sample(support::rng& r, double mean) {
 }  // namespace
 
 std::vector<arrival> generate_traffic(const traffic_options& opt) {
-  if (const auto errs = opt.validate(); !errs.empty()) {
-    std::ostringstream msg;
-    msg << "invalid traffic_options (" << errs.size() << " problem"
-        << (errs.size() > 1 ? "s" : "") << "):";
-    for (const auto& e : errs) msg << "\n  - " << e;
-    throw std::invalid_argument(msg.str());
-  }
+  support::throw_if_invalid("traffic_options", opt.validate());
 
   support::rng r(opt.seed);
   std::vector<arrival> trace;

@@ -1,6 +1,7 @@
 // Closed-loop balancing tests: the Fig. 14 experiment (imbalanced start on
 // symmetric nodes converges within 3 iterations), heterogeneous clusters,
-// and balancing wired to the real distributed solver.
+// balancing wired to the real distributed solver, and the dynamic sim
+// driver (per-iteration hook, tracking a capacity change mid-run).
 
 #include <gtest/gtest.h>
 
@@ -12,6 +13,7 @@
 #include "dist/dist_solver.hpp"
 #include "model/capacity.hpp"
 #include "nonlocal/serial_solver.hpp"
+#include "partition/partitioner.hpp"
 #include "support/stats.hpp"
 
 namespace bal = nlh::balance;
@@ -248,4 +250,63 @@ TEST(BalanceStepContract, MaxMovesCapsMovesAndKeepsReportConsistent) {
   int total = 0;
   for (int c : rep.sd_counts_after) total += c;
   EXPECT_EQ(total, t.num_sds());
+}
+
+// ------------------------------------------------ dynamic workload driver ----
+
+TEST(DynamicBalancing, OnIterationHookFires) {
+  dist::tiling t(4, 4, 10, 2);
+  auto own = dist::ownership_map::from_partition(
+      t, 2, nlh::partition::block_partition(4, 4, 2));
+  nlh::balance::sim_balance_config cfg;
+  cfg.max_iterations = 4;
+  cfg.run_all_iterations = true;
+  cfg.cluster.node_capacity = nlh::model::uniform_cluster(2, 1.0);
+  int calls = 0;
+  cfg.on_iteration = [&](int, dist::sim_cost_model&, dist::sim_cluster_config&) {
+    ++calls;
+  };
+  const auto log = nlh::balance::run_sim_balancing(t, own, cfg);
+  EXPECT_EQ(calls, 4);
+  EXPECT_EQ(log.size(), 4u);
+}
+
+TEST(DynamicBalancing, TracksInterferenceArrival) {
+  // Node 0 slows to 25% from iteration 2 on: the balancer must shed SDs
+  // from node 0 after the change.
+  dist::tiling t(6, 6, 10, 2);
+  auto own = dist::ownership_map::from_partition(
+      t, 2, nlh::partition::block_partition(6, 6, 2));
+  nlh::balance::sim_balance_config cfg;
+  cfg.max_iterations = 8;
+  cfg.run_all_iterations = true;
+  cfg.cov_tol = 0.03;
+  cfg.cluster.node_capacity = nlh::model::uniform_cluster(2, 1.0);
+  cfg.on_iteration = [&](int it, dist::sim_cost_model&,
+                         dist::sim_cluster_config& cluster) {
+    cluster.node_capacity = it < 2
+                                ? nlh::model::uniform_cluster(2, 1.0)
+                                : nlh::model::heterogeneous_cluster({0.25, 1.0});
+  };
+  const auto before = own.sd_counts();
+  EXPECT_EQ(before[0], before[1]);
+  nlh::balance::run_sim_balancing(t, own, cfg);
+  const auto after = own.sd_counts();
+  EXPECT_LT(after[0], after[1]);
+  // Roughly the 1:4 capacity ratio.
+  EXPECT_NEAR(static_cast<double>(after[1]) / after[0], 4.0, 1.7);
+}
+
+TEST(DynamicBalancing, ConvergedRunsContinueWhenRequested) {
+  dist::tiling t(4, 4, 10, 2);
+  auto own = dist::ownership_map::from_partition(
+      t, 2, nlh::partition::block_partition(4, 4, 2));
+  nlh::balance::sim_balance_config cfg;
+  cfg.max_iterations = 5;
+  cfg.cov_tol = 10.0;  // everything counts as converged
+  cfg.cluster.node_capacity = nlh::model::uniform_cluster(2, 1.0);
+  cfg.run_all_iterations = true;
+  const auto log = nlh::balance::run_sim_balancing(t, own, cfg);
+  EXPECT_EQ(log.size(), 5u);
+  for (const auto& e : log) EXPECT_TRUE(e.converged);
 }

@@ -1,7 +1,7 @@
 // Tests for the scenario-registry error paths (unknown key, duplicate
 // registration, null factory, null custom_scenario fallbacks) and for
-// batch_runner: options validation, FIFO / priority admission under the
-// concurrency cap, per-job failure isolation, aggregate metrics, and the
+// batch_runner: options validation, FIFO admission under the concurrency
+// cap, per-job failure isolation, aggregate metrics, and the
 // headline property — a concurrent mixed scenario/backend/mode batch where
 // every serial/distributed pair of one (scenario, backend) cell agrees
 // bitwise even while tenants pinned to other backends run interleaved.
@@ -158,53 +158,6 @@ TEST(BatchAdmission, FifoRunsJobsInSubmissionOrder) {
   }
   for (auto& f : runner.submit_all(std::move(jobs))) EXPECT_TRUE(f.get().ok);
   EXPECT_EQ(order, (std::vector<std::string>{"first", "second", "third"}));
-}
-
-TEST(BatchAdmission, PriorityAdmitsHighestFirstFifoAmongEquals) {
-  api::batch_options bopt;
-  bopt.pool_threads = 2;
-  bopt.max_concurrent_jobs = 1;
-  bopt.admission = api::admission_policy::priority;
-  api::batch_runner runner(bopt);
-
-  std::mutex mu;
-  std::vector<std::string> order;
-  auto record = [&mu, &order](const std::string& label) {
-    return [&mu, &order, label](api::session&) {
-      std::lock_guard<std::mutex> lk(mu);
-      order.push_back(label);
-    };
-  };
-
-  // The blocker occupies the only slot until we release it, so the later
-  // submissions are all queued when the admission decision happens —
-  // deterministic, no timing assumptions.
-  std::promise<void> release;
-  auto released = release.get_future().share();
-  api::batch_job blocker;
-  blocker.options = small_options("manufactured");
-  blocker.label = "blocker";
-  blocker.on_complete = [released](api::session&) { released.wait(); };
-
-  auto make = [&](const char* label, int priority) {
-    api::batch_job j;
-    j.options = small_options("manufactured");
-    j.label = label;
-    j.priority = priority;
-    j.on_complete = record(label);
-    return j;
-  };
-
-  auto fb = runner.submit(std::move(blocker));
-  auto f_low = runner.submit(make("low", 0));
-  auto f_mid_a = runner.submit(make("mid-a", 3));
-  auto f_high = runner.submit(make("high", 7));
-  auto f_mid_b = runner.submit(make("mid-b", 3));
-  release.set_value();
-
-  for (auto* f : {&fb, &f_low, &f_mid_a, &f_high, &f_mid_b})
-    EXPECT_TRUE(f->get().ok);
-  EXPECT_EQ(order, (std::vector<std::string>{"high", "mid-a", "mid-b", "low"}));
 }
 
 // ------------------------------------------------- failures + aggregates --
@@ -381,6 +334,61 @@ TEST(BatchRunner, DrainAbandonsQueuedJobsAndReportsCounts) {
   const auto agg = runner.aggregate();
   EXPECT_EQ(agg.jobs_abandoned, rep.abandoned + 1);
   EXPECT_EQ(agg.jobs_completed, ok);
+}
+
+// Same-key jobs queue behind their busy tenant, outside the scheduler. They
+// run in submission order, wait_all() covers them, and a drain that starts
+// while they wait abandons them and counts them in its report.
+TEST(BatchRunner, JobsWaitingBehindTheirTenantRunInOrderOrAreDrained) {
+  api::batch_options opt;
+  opt.pool_threads = 2;
+  opt.max_concurrent_jobs = 2;
+  api::batch_runner runner(opt);
+
+  std::mutex mu;
+  std::vector<std::string> order;
+  std::promise<void> release;
+  auto released = release.get_future().share();
+  auto make = [&](const std::string& label, bool gated) {
+    api::batch_job j;
+    j.options = small_options("manufactured");
+    j.session_key = "tenant";
+    j.label = label;
+    j.on_complete = [&mu, &order, label, gated, released](api::session&) {
+      if (gated) released.wait();
+      std::lock_guard<std::mutex> lk(mu);
+      order.push_back(label);
+    };
+    return j;
+  };
+
+  // The first job holds the tenant until released; the rest wait.
+  std::vector<nlh::amt::future<api::batch_job_result>> futs;
+  futs.push_back(runner.submit(make("a", true)));
+  for (const char* label : {"b", "c"}) futs.push_back(runner.submit(make(label, false)));
+  release.set_value();
+  runner.wait_all();
+  for (auto& f : futs) ASSERT_TRUE(f.is_ready());
+  EXPECT_EQ(order, (std::vector<std::string>{"a", "b", "c"}));
+
+  // Hold the tenant again and drain without waiting: the in-flight job is
+  // still running, and the two jobs behind it are abandoned.
+  std::promise<void> release2;
+  released = release2.get_future().share();
+  auto fa = runner.submit(make("d", true));
+  auto fb = runner.submit(make("e", false));
+  auto fc = runner.submit(make("f", false));
+  const auto rep = runner.drain(0.0);
+  EXPECT_EQ(rep.abandoned, 2);
+  EXPECT_EQ(rep.still_running, 1);
+  for (auto* f : {&fb, &fc}) {
+    const auto r = f->get();
+    EXPECT_FALSE(r.ok);
+    EXPECT_EQ(r.error.rfind("abandoned", 0), 0u) << r.error;
+  }
+  release2.set_value();
+  EXPECT_TRUE(fa.get().ok);
+  EXPECT_EQ(runner.aggregate().jobs_abandoned, 2);
 }
 
 // batch_job::admission_class splits the queue-wait histogram per class in

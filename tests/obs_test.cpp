@@ -1,8 +1,8 @@
 // Tests for the observability subsystem (src/obs/): span recording and
 // nesting, cross-thread rings and thread names, ring wraparound accounting,
 // histogram quantile estimation, Chrome-trace / metrics JSON export
-// round-trips, the runtime enable/disable gates, the counter_registry
-// bridge, and a fully traced multi-tenant batch run
+// round-trips, the runtime enable/disable gates, and a fully traced
+// multi-tenant batch run
 // (the latter rides the TSAN CI job: every tracer/metrics path exercised
 // concurrently with real solver work).
 
@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "amt/async.hpp"
-#include "amt/counters.hpp"
 #include "amt/thread_pool.hpp"
 #include "api/batch.hpp"
 #include "api/session.hpp"
@@ -300,17 +299,6 @@ TEST_F(ObsTest, RegistryFindOrCreateAndSnapshot) {
   EXPECT_DOUBLE_EQ(snap.gauges[0].second, 2.5);
   ASSERT_EQ(snap.histograms.size(), 1u);
   EXPECT_EQ(snap.histograms[0].second.count, 1u);
-}
-
-TEST_F(ObsTest, BridgeCounterRegistryPolls) {
-  auto& reg = nlh::amt::counter_registry::instance();
-  reg.register_counter("/obs_bridge_test/x", [] { return 4.25; }, [] {});
-  obs::metrics_snapshot snap;
-  obs::bridge_counter_registry(snap, "obs_bridge_test");
-  reg.unregister_counter("/obs_bridge_test/x");
-  ASSERT_EQ(snap.gauges.size(), 1u);
-  EXPECT_EQ(snap.gauges[0].first, "/obs_bridge_test/x");
-  EXPECT_DOUBLE_EQ(snap.gauges[0].second, 4.25);
 }
 
 // ----------------------------------------------------------------- export --

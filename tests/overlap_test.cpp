@@ -6,10 +6,12 @@
 // invalidation across migrations (with the epoch-tagged migration
 // messages), and — via the comm_world delay model — the §6.3 property
 // itself: case-2 interiors complete while the ghosts are still in flight.
+// The bulk_sync baseline matches serial and moves the same ghost bytes.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -544,4 +546,52 @@ TEST(ApiOverlapMetrics, UnknownScheduleNameIsRejected) {
     EXPECT_NE(errs[0].find("bulk_sync"), std::string::npos);
     EXPECT_THROW(api::session{opt}, std::invalid_argument);
   }
+}
+
+// --------------------------------------------- bulk-synchronous baseline ----
+
+TEST(BulkSyncMode, MatchesSerialReference) {
+  dist::dist_config cfg;
+  cfg.sd_rows = cfg.sd_cols = 2;
+  cfg.sd_size = 8;
+  cfg.epsilon_factor = 2;
+  cfg.schedule = dist::overlap_schedule::bulk_sync;
+  const dist::tiling t(2, 2, 8, 2);
+  dist::dist_solver solver(cfg, dist::ownership_map(t, 2, {0, 1, 1, 0}));
+  solver.set_initial_condition();
+  solver.run(3);
+
+  nl::solver_config scfg;
+  scfg.n = 16;
+  scfg.epsilon_factor = 2;
+  nl::serial_solver ref(scfg);
+  ref.set_initial_condition();
+  for (int k = 0; k < 3; ++k) ref.step(k);
+
+  const auto mine = solver.gather();
+  const auto& g = solver.grid();
+  double maxdiff = 0.0;
+  for (int i = 0; i < g.n(); ++i)
+    for (int j = 0; j < g.n(); ++j)
+      maxdiff = std::max(maxdiff,
+                         std::abs(mine[g.flat(i, j)] - ref.field()[g.flat(i, j)]));
+  EXPECT_LT(maxdiff, 1e-12);
+}
+
+TEST(BulkSyncMode, SameGhostTrafficAsOverlap) {
+  // The schedule changes; the data exchanged does not.
+  auto run_bytes = [](dist::overlap_schedule sched) {
+    dist::dist_config cfg;
+    cfg.sd_rows = cfg.sd_cols = 2;
+    cfg.sd_size = 8;
+    cfg.epsilon_factor = 2;
+    cfg.schedule = sched;
+    const dist::tiling t(2, 2, 8, 2);
+    dist::dist_solver solver(cfg, dist::ownership_map(t, 2, {0, 1, 0, 1}));
+    solver.set_initial_condition();
+    solver.run(2);
+    return solver.ghost_bytes();
+  };
+  EXPECT_EQ(run_bytes(dist::overlap_schedule::coarse),
+            run_bytes(dist::overlap_schedule::bulk_sync));
 }

@@ -1,5 +1,6 @@
 // Tests for the multilevel k-way partitioner (the METIS substitute),
-// including TEST_P property sweeps over grid shapes, part counts and seeds.
+// including TEST_P property sweeps over grid shapes, part counts and seeds,
+// plus induced subgraphs and recursive bisection.
 
 #include <gtest/gtest.h>
 
@@ -203,3 +204,69 @@ TEST_P(MultilevelSeeds, Fig13ShapeAlwaysContiguous) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MultilevelSeeds,
                          ::testing::Values(1u, 2u, 3u, 5u, 8u, 13u, 21u, 34u));
+
+// -------------------------------------------------------- induced subgraph ----
+
+TEST(InducedSubgraph, KeepsInternalEdgesOnly) {
+  auto g = grid_dual(3, 3);
+  // Top row: vertices 0,1,2 form a path (plus no diagonals inside a row).
+  const auto sub = part::induced_subgraph(g, {0, 1, 2});
+  EXPECT_EQ(sub.num_vertices(), 3);
+  EXPECT_EQ(sub.num_edges(), 2);
+  EXPECT_TRUE(sub.has_edge(0, 1));
+  EXPECT_TRUE(sub.has_edge(1, 2));
+  EXPECT_FALSE(sub.has_edge(0, 2));
+}
+
+TEST(InducedSubgraph, CarriesWeights) {
+  part::mesh_dual_options opt;
+  opt.sd_rows = 1;
+  opt.sd_cols = 3;
+  opt.sd_size = 5;
+  opt.ghost_width = 2;
+  opt.sd_work = {1.0, 2.0, 3.0};
+  auto g = part::build_mesh_dual(opt);
+  const auto sub = part::induced_subgraph(g, {1, 2});
+  EXPECT_DOUBLE_EQ(sub.vwgt(0), 2.0);
+  EXPECT_DOUBLE_EQ(sub.vwgt(1), 3.0);
+  EXPECT_DOUBLE_EQ(sub.adjwgt(sub.xadj(0)), 10.0);  // sd_size * ghost
+}
+
+// --------------------------------------------------- recursive bisection ----
+
+TEST(RecursiveBisection, ValidBalancedContiguousOnGrid) {
+  auto g = grid_dual(8, 8);
+  part::partition_options opt;
+  opt.k = 4;
+  const auto p = part::recursive_bisection_partition(g, opt);
+  part::validate_partition(g, p, 4);
+  const auto w = part::part_weights(g, p, 4);
+  for (double x : w) EXPECT_GT(x, 0.0);
+  EXPECT_LE(part::balance_factor(g, p, 4), 1.35);
+}
+
+TEST(RecursiveBisection, CutCompetitiveWithDirectKway) {
+  auto g = grid_dual(16, 16);
+  part::partition_options opt;
+  opt.k = 8;
+  const auto rb = part::recursive_bisection_partition(g, opt);
+  const auto kw = part::multilevel_partition(g, opt);
+  EXPECT_LE(part::edge_cut(g, rb), 1.6 * part::edge_cut(g, kw));
+}
+
+TEST(RecursiveBisection, DeterministicForSeed) {
+  auto g = grid_dual(8, 8);
+  part::partition_options opt;
+  opt.k = 4;
+  opt.seed = 77;
+  EXPECT_EQ(part::recursive_bisection_partition(g, opt),
+            part::recursive_bisection_partition(g, opt));
+}
+
+TEST(RecursiveBisection, KOneIsTrivial) {
+  auto g = grid_dual(4, 4);
+  part::partition_options opt;
+  opt.k = 1;
+  const auto p = part::recursive_bisection_partition(g, opt);
+  for (int v : p) EXPECT_EQ(v, 0);
+}

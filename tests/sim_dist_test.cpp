@@ -1,5 +1,6 @@
 // Tests for the virtual-time twin of the distributed solver: scaling shape,
-// overlap behaviour, busy accounting.
+// overlap behaviour (bulk-sync is never faster, and loses more at high
+// latency), busy accounting.
 
 #include <gtest/gtest.h>
 
@@ -195,4 +196,38 @@ TEST(SimDist, SdStepWorkHelper) {
   EXPECT_DOUBLE_EQ(dist::sd_step_work(t, 0, cost), 200.0);
   cost.sd_work_scale = {0.5, 1, 1, 1};
   EXPECT_DOUBLE_EQ(dist::sd_step_work(t, 0, cost), 100.0);
+}
+
+// ------------------------------------------------ bulk-synchronous sim ----
+
+TEST(BulkSyncSim, NeverFasterThanOverlap) {
+  dist::tiling t(4, 4, 50, 8);
+  const auto own = dist::ownership_map::from_partition(
+      t, 4, nlh::partition::block_partition(4, 4, 4));
+  for (double latency : {1e-6, 1e-3, 1e-1}) {
+    dist::sim_cluster_config cluster;
+    cluster.net.latency_s = latency;
+    dist::sim_cost_model cost;
+    cost.overlap = true;
+    const auto on = dist::simulate_timestepping(t, own, 5, cost, cluster);
+    cost.overlap = false;
+    const auto off = dist::simulate_timestepping(t, own, 5, cost, cluster);
+    EXPECT_GE(off.makespan, on.makespan - 1e-9) << "latency " << latency;
+  }
+}
+
+TEST(BulkSyncSim, HighLatencyHurtsBulkSyncMore) {
+  dist::tiling t(4, 4, 50, 8);
+  const auto own = dist::ownership_map::from_partition(
+      t, 4, nlh::partition::block_partition(4, 4, 4));
+  dist::sim_cluster_config cluster;
+  // Latency comparable to a node's whole step: overlap can still hide some
+  // of it behind case-2, bulk-sync cannot hide any.
+  cluster.net.latency_s = 5000.0;
+  dist::sim_cost_model cost;
+  cost.overlap = true;
+  const auto on = dist::simulate_timestepping(t, own, 5, cost, cluster);
+  cost.overlap = false;
+  const auto off = dist::simulate_timestepping(t, own, 5, cost, cluster);
+  EXPECT_GT(off.makespan, 1.05 * on.makespan);
 }

@@ -1,13 +1,18 @@
-// Tests for capacity traces and the deterministic event queue.
+// Tests for capacity traces, the deterministic event queue, and execution
+// trace export (cluster_sim task records, Chrome JSON, sim_dist labels).
 
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <vector>
 
+#include "dist/sim_dist.hpp"
 #include "sim/capacity_trace.hpp"
+#include "sim/cluster_sim.hpp"
 #include "sim/event_queue.hpp"
 
 namespace sim = nlh::sim;
+namespace dist = nlh::dist;
 
 // --------------------------------------------------------- capacity_trace ----
 
@@ -129,4 +134,51 @@ TEST(EventQueue, ClockMonotone) {
     });
   q.run();
   EXPECT_TRUE(monotone);
+}
+
+// ------------------------------------------------------------ trace export ----
+
+TEST(TraceExport, RecordsSortedWithCores) {
+  sim::cluster_sim cs(1, 2);
+  const int a = cs.add_task(0, 2.0, {}, "alpha");
+  const int b = cs.add_task(0, 1.0, {}, "beta");
+  const int c = cs.add_task(0, 1.0, {a, b}, "gamma");
+  cs.run();
+  const auto recs = cs.task_records();
+  ASSERT_EQ(recs.size(), 3u);
+  // Sorted by start; a and b start at 0 on different cores.
+  EXPECT_DOUBLE_EQ(recs[0].start, 0.0);
+  EXPECT_DOUBLE_EQ(recs[1].start, 0.0);
+  EXPECT_NE(recs[0].core, recs[1].core);
+  EXPECT_EQ(recs[2].label, "gamma");
+  EXPECT_DOUBLE_EQ(recs[2].start, 2.0);  // after the slower parent
+  (void)c;
+}
+
+TEST(TraceExport, ChromeJsonIsWellFormedEnough) {
+  sim::cluster_sim cs(2, 1);
+  cs.add_task(0, 1.0, {}, "compute");
+  cs.add_task(1, 1.0, {}, "other");
+  cs.run();
+  std::ostringstream os;
+  cs.write_chrome_trace(os);
+  const auto s = os.str();
+  EXPECT_EQ(s.front(), '[');
+  EXPECT_NE(s.find("\"name\": \"compute\""), std::string::npos);
+  EXPECT_NE(s.find("\"ph\": \"X\""), std::string::npos);
+  EXPECT_NE(s.find("\"pid\": 1"), std::string::npos);
+  EXPECT_NE(s.rfind("]"), std::string::npos);
+}
+
+TEST(TraceExport, SimDistEmitsLabeledTasks) {
+  dist::tiling t(2, 2, 10, 2);
+  const dist::ownership_map own(t, 2, {0, 1, 1, 0});
+  dist::sim_cost_model cost;
+  dist::sim_cluster_config cluster;
+  std::ostringstream trace;
+  cluster.chrome_trace = &trace;
+  dist::simulate_timestepping(t, own, 2, cost, cluster);
+  const auto s = trace.str();
+  EXPECT_NE(s.find("sd0:interior@0"), std::string::npos);
+  EXPECT_NE(s.find("sd3:boundary@1"), std::string::npos);
 }

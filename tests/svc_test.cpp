@@ -359,6 +359,20 @@ TEST(Scheduler, QueueCapRefusesAndDrainShedsTheBacklog) {
   f.sched.wait_idle();
 }
 
+TEST(Scheduler, NegativeDrainTimeoutWaitsForInFlightWork) {
+  sched_fixture f;
+  f.enqueue_gate();  // dispatched at once: running when the drain starts
+  std::thread opener([&f] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    f.gate_open = true;
+  });
+  const auto rep = f.sched.drain(-1.0);
+  opener.join();
+  EXPECT_EQ(rep.in_flight, 1);
+  EXPECT_EQ(rep.still_running, 0);
+  EXPECT_TRUE(rep.clean());
+}
+
 // -------------------------------------------------------------- service ---
 
 TEST(Service, ValidatesOptionsWithActionableMessages) {
