@@ -9,8 +9,10 @@
 /// (docs/checkpoint.md): on a smooth compact-support pulse field the delta
 /// codec must checkpoint at least `min_smooth_ratio` (3x) smaller than raw,
 /// and a 16-tenant batch under a resident cap of 4 must actually hold 4x
-/// more sessions than the cap. The dense crack field's ratio is *reported*
-/// (full-entropy fields hover near 1x by design) but never gated.
+/// more sessions than the cap. The dense crack checkpoint's ratio is
+/// *reported* (full-entropy fields hover near 1x by design); one dense crack
+/// field frame is gated from above: under the delta codec's raw fallback it
+/// must encode to no more than raw plus the one-byte frame header.
 /// Hibernate/restore latencies ride along for trend tracking. Set
 /// NLH_BENCH_CHECKPOINT_JSON to redirect the report (default:
 /// ./BENCH_checkpoint.json).
@@ -152,6 +154,25 @@ std::uint64_t dist_checkpoint_bytes(std::shared_ptr<const api::scenario> scn,
   return solver.checkpoint_full().size();
 }
 
+/// One dense crack-field frame — the 64x64 interior (no exact-zero collar)
+/// of a serial crack run after 4 steps — encoded under the delta codec.
+ckpt::frame_stats crack_frame_delta_stats() {
+  api::session_options o;
+  o.scenario = "crack";
+  o.n = 64;
+  api::session s(o);
+  auto& h = s.solver();
+  h.run(4);
+  const auto& g = h.grid();
+  const auto field = h.field();
+  std::vector<double> interior;
+  interior.reserve(static_cast<std::size_t>(g.n()) * g.n());
+  for (int i = 0; i < g.n(); ++i)
+    for (int j = 0; j < g.n(); ++j) interior.push_back(field[g.flat(i, j)]);
+  net::archive_writer w;
+  return ckpt::delta_codec().encode(interior.data(), interior.size(), nullptr, w);
+}
+
 /// Best-of-reps hibernate and restore latency of a 64x64 serial session.
 void measure_hibernate_restore(double* hibernate_ms, double* restore_ms) {
   api::session_options o;
@@ -188,13 +209,16 @@ bool run_checkpoint_guard(const char* path) {
   const double smooth_ratio =
       static_cast<double>(smooth_raw) / static_cast<double>(smooth_delta);
 
-  // Dense crack field: reported for honesty, never gated (full-entropy
-  // values have no runs and rarely share a small lattice).
+  // Dense crack field: the checkpoint ratio is reported, not gated
+  // (full-entropy values have no runs and rarely share a small lattice).
   const auto crack = api::make_scenario("crack");
   const auto crack_raw = dist_checkpoint_bytes(crack, "raw");
   const auto crack_delta = dist_checkpoint_bytes(crack, "delta");
   const double crack_ratio =
       static_cast<double>(crack_raw) / static_cast<double>(crack_delta);
+  // The codec bound: a dense frame never exceeds raw plus its 1-byte header.
+  const auto crack_frame = crack_frame_delta_stats();
+  const bool crack_frame_ok = crack_frame.encoded_bytes <= crack_frame.raw_bytes + 1;
 
   double hibernate_ms = 0.0, restore_ms = 0.0;
   measure_hibernate_restore(&hibernate_ms, &restore_ms);
@@ -230,7 +254,7 @@ bool run_checkpoint_guard(const char* path) {
   const bool ratio_ok = smooth_ratio >= min_smooth_ratio;
   const bool tenants_ok = held == tenants && resident <= resident_cap &&
                           tenants_per_cap >= 4.0;
-  const bool pass = ratio_ok && tenants_ok;
+  const bool pass = ratio_ok && crack_frame_ok && tenants_ok;
 
   std::printf("\ncheckpoint guard (%d SDs, 16x16 DPs each):\n", num_sds);
   std::printf("  smooth pulse  raw %7llu B  delta %7llu B  ratio %5.2fx "
@@ -242,6 +266,11 @@ bool run_checkpoint_guard(const char* path) {
               "(reported, not gated)\n",
               static_cast<unsigned long long>(crack_raw),
               static_cast<unsigned long long>(crack_delta), crack_ratio);
+  std::printf("  crack frame   raw %7llu B  delta %7llu B  mode '%c' "
+              "(gate <= raw + 1 B)\n",
+              static_cast<unsigned long long>(crack_frame.raw_bytes),
+              static_cast<unsigned long long>(crack_frame.encoded_bytes),
+              crack_frame.mode);
   std::printf("  hibernate %.3f ms   restore %.3f ms (64x64 serial, best of 5)\n",
               hibernate_ms, restore_ms);
   std::printf("  batch: %zu tenants held, %zu resident (cap %zu) -> %.1fx "
@@ -266,6 +295,9 @@ bool run_checkpoint_guard(const char* path) {
                "  \"crack_raw_bytes\": %llu,\n"
                "  \"crack_delta_bytes\": %llu,\n"
                "  \"crack_ratio\": %.3f,\n"
+               "  \"crack_frame_raw_bytes\": %llu,\n"
+               "  \"crack_frame_delta_bytes\": %llu,\n"
+               "  \"crack_frame_ok\": %s,\n"
                "  \"hibernate_ms\": %.4f,\n"
                "  \"restore_ms\": %.4f,\n"
                "  \"tenants_held\": %zu,\n"
@@ -279,8 +311,10 @@ bool run_checkpoint_guard(const char* path) {
                static_cast<double>(smooth_delta) / num_sds, smooth_ratio,
                min_smooth_ratio, static_cast<unsigned long long>(crack_raw),
                static_cast<unsigned long long>(crack_delta), crack_ratio,
-               hibernate_ms, restore_ms, held, resident_cap, tenants_per_cap,
-               pass ? "true" : "false");
+               static_cast<unsigned long long>(crack_frame.raw_bytes),
+               static_cast<unsigned long long>(crack_frame.encoded_bytes),
+               crack_frame_ok ? "true" : "false", hibernate_ms, restore_ms, held,
+               resident_cap, tenants_per_cap, pass ? "true" : "false");
   std::fclose(fp);
   std::printf("  guard %s -> %s\n", pass ? "PASS" : "FAIL", path);
   return pass;

@@ -30,6 +30,7 @@
 #include <string>
 #include <vector>
 
+#include "api/scenario.hpp"
 #include "dist/ownership.hpp"
 #include "dist/step_plan.hpp"
 #include "dist/tiling.hpp"
@@ -38,7 +39,6 @@
 #include "nonlocal/kernel/backend.hpp"
 #include "nonlocal/kernel/stencil_plan.hpp"
 #include "nonlocal/nonlocal_operator.hpp"
-#include "nonlocal/problem.hpp"
 #include "nonlocal/stencil.hpp"
 #include "support/stopwatch.hpp"
 
@@ -133,13 +133,16 @@ static void BM_ManufacturedSource(benchmark::State& state) {
   nl::grid2d grid(n, 4.0 / n);
   nl::influence J;
   nl::stencil st(grid, J);
-  const double c = J.scaling_constant(2, 1.0, grid.epsilon());
-  nl::manufactured_problem prob(grid, st, c);
-  auto w = prob.exact_field(0.25);
+  const nl::stencil_plan plan(st);
+  const nlh::api::scenario_context ctx{&grid, &plan,
+                                       J.scaling_constant(2, 1.0, grid.epsilon())};
+  const nlh::api::manufactured_scenario scn;
+  auto w = grid.make_field();
   auto out = grid.make_field();
   const nl::dp_rect all{0, n, 0, n};
+  scn.fill_aux(ctx, 0.25, all, w);
   for (auto _ : state) {
-    prob.source_into(0.25, w, out, all);
+    scn.source_into(ctx, 0.25, w, all, out);
     benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(state.iterations() * n * n);

@@ -20,7 +20,8 @@
 namespace {
 
 /// Disk-shaped material domain, defined locally to show how callers extend
-/// the scenario interface beyond the built-in registry.
+/// the scenario interface beyond the built-ins (session_options::
+/// custom_scenario).
 class disk_scenario final : public nlh::api::scenario {
  public:
   std::string name() const override { return "disk"; }

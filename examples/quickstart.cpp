@@ -10,8 +10,8 @@
 ///                   [--sd-grid 4] [--scenario manufactured] [--backend ""]
 ///                   [--dt-safety 0.5] [--conductivity 1.0]
 ///
-/// `--scenario` takes any registered scenario (manufactured,
-/// gaussian_pulse, lshape, crack, ...); `--backend` pins the kernel
+/// `--scenario` takes any built-in scenario (manufactured,
+/// gaussian_pulse, lshape, crack); `--backend` pins the kernel
 /// backend (scalar, row_run, simd, avx512) for this session.
 ///
 

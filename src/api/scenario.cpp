@@ -1,23 +1,18 @@
 ///
 /// \file scenario.cpp
-/// \brief Built-in scenarios and the string-keyed registry. The
-/// manufactured scenario delegates to the exact same math as
-/// nonlocal::manufactured_problem, so routing the solvers through it
-/// changes no bits of any existing run.
+/// \brief Built-in scenarios and make_scenario(), the fixed lookup over
+/// them.
 ///
 
 #include "api/scenario.hpp"
 
-#include <algorithm>
 #include <cmath>
-#include <map>
-#include <mutex>
 #include <sstream>
 #include <stdexcept>
 
+#include "dist/domain_mask.hpp"
 #include "dist/tiling.hpp"
 #include "model/crack.hpp"
-#include "nonlocal/problem.hpp"
 #include "support/assert.hpp"
 
 namespace nlh::api {
@@ -45,72 +40,42 @@ std::vector<char> scenario::sd_mask(int, int) const { return {}; }
 
 std::vector<double> scenario::sd_work(int, int) const { return {}; }
 
-// --------------------------------------------------------------- registry --
-
-namespace {
-
-using registry_map = std::map<std::string, scenario_factory>;
-
-registry_map& registry() {
-  static registry_map* r = [] {
-    auto* m = new registry_map;
-    (*m)["manufactured"] = [] { return std::make_shared<const manufactured_scenario>(); };
-    (*m)["gaussian_pulse"] = [] {
-      return std::make_shared<const gaussian_pulse_scenario>();
-    };
-    (*m)["lshape"] = [] { return std::make_shared<const lshape_scenario>(); };
-    (*m)["crack"] = [] { return std::make_shared<const crack_scenario>(); };
-    return m;
-  }();
-  return *r;
-}
-
-std::mutex& registry_mutex() {
-  static std::mutex m;
-  return m;
-}
-
-}  // namespace
-
-void register_scenario(const std::string& name, scenario_factory factory) {
-  NLH_ASSERT_MSG(!name.empty(), "register_scenario: empty name");
-  NLH_ASSERT_MSG(factory != nullptr, "register_scenario: null factory");
-  std::lock_guard<std::mutex> lock(registry_mutex());
-  registry()[name] = std::move(factory);
-}
+// --------------------------------------------------------------- built-ins --
 
 std::shared_ptr<const scenario> make_scenario(const std::string& name) {
-  scenario_factory factory;
-  {
-    std::lock_guard<std::mutex> lock(registry_mutex());
-    const auto& reg = registry();
-    const auto it = reg.find(name);
-    if (it == reg.end()) {
-      std::ostringstream msg;
-      msg << "unknown scenario '" << name << "'; registered scenarios:";
-      for (const auto& [key, _] : reg) msg << " " << key;
-      throw std::invalid_argument(msg.str());
-    }
-    factory = it->second;
-  }
-  // Invoked outside the lock: factories may themselves consult the
-  // registry (e.g. compose over make_scenario).
-  return factory();
+  if (name == "crack") return std::make_shared<const crack_scenario>();
+  if (name == "gaussian_pulse") return std::make_shared<const gaussian_pulse_scenario>();
+  if (name == "lshape") return std::make_shared<const lshape_scenario>();
+  if (name == "manufactured") return std::make_shared<const manufactured_scenario>();
+  std::ostringstream msg;
+  msg << "unknown scenario '" << name << "'; built-in scenarios:";
+  for (const auto& key : scenario_names()) msg << " " << key;
+  throw std::invalid_argument(msg.str());
 }
 
 std::vector<std::string> scenario_names() {
-  std::lock_guard<std::mutex> lock(registry_mutex());
-  std::vector<std::string> names;
-  names.reserve(registry().size());
-  for (const auto& [key, _] : registry()) names.push_back(key);
-  return names;  // std::map iteration is already sorted
+  return {"crack", "gaussian_pulse", "lshape", "manufactured"};
 }
 
 // ----------------------------------------------------------- manufactured --
 
-double manufactured_scenario::initial(double x1, double x2) const {
-  return nonlocal::manufactured_problem::u0(x1, x2);
+namespace {
+constexpr double two_pi = 2.0 * 3.14159265358979323846;
 }
+
+double manufactured_scenario::w(double t, double x1, double x2) {
+  if (x1 < 0.0 || x1 > 1.0 || x2 < 0.0 || x2 > 1.0) return 0.0;
+  return std::cos(two_pi * t) * std::sin(two_pi * x1) * std::sin(two_pi * x2);
+}
+
+double manufactured_scenario::dwdt(double t, double x1, double x2) {
+  if (x1 < 0.0 || x1 > 1.0 || x2 < 0.0 || x2 > 1.0) return 0.0;
+  return -two_pi * std::sin(two_pi * t) * std::sin(two_pi * x1) * std::sin(two_pi * x2);
+}
+
+double manufactured_scenario::u0(double x1, double x2) { return w(0.0, x1, x2); }
+
+double manufactured_scenario::initial(double x1, double x2) const { return u0(x1, x2); }
 
 void manufactured_scenario::fill_aux(const scenario_context& ctx, double t,
                                      const nonlocal::dp_rect& rect,
@@ -118,7 +83,7 @@ void manufactured_scenario::fill_aux(const scenario_context& ctx, double t,
   const auto& g = *ctx.grid;
   for (int i = rect.row_begin; i < rect.row_end; ++i)
     for (int j = rect.col_begin; j < rect.col_end; ++j)
-      aux[g.flat(i, j)] = nonlocal::manufactured_problem::w(t, g.x(j), g.y(i));
+      aux[g.flat(i, j)] = w(t, g.x(j), g.y(i));
 }
 
 void manufactured_scenario::source_into(const scenario_context& ctx, double t,
@@ -127,19 +92,17 @@ void manufactured_scenario::source_into(const scenario_context& ctx, double t,
                                         std::vector<double>& out) const {
   const auto& g = *ctx.grid;
   NLH_ASSERT(aux.size() == g.total() && out.size() == g.total());
-  // b = dw/dt - L_h[w] over rect: identical expression order to
-  // manufactured_problem::source_into, so the bits match the historical
-  // hard-wired path.
+  // out <- L_h[w] over rect, then b = dw/dt - out.
   nonlocal::apply_nonlocal_operator(g, *ctx.plan, ctx.scaling_constant, aux, out, rect);
   for (int i = rect.row_begin; i < rect.row_end; ++i)
     for (int j = rect.col_begin; j < rect.col_end; ++j) {
       const auto idx = g.flat(i, j);
-      out[idx] = nonlocal::manufactured_problem::dwdt(t, g.x(j), g.y(i)) - out[idx];
+      out[idx] = dwdt(t, g.x(j), g.y(i)) - out[idx];
     }
 }
 
 double manufactured_scenario::exact(double t, double x1, double x2) const {
-  return nonlocal::manufactured_problem::w(t, x1, x2);
+  return w(t, x1, x2);
 }
 
 // --------------------------------------------------------- gaussian pulse --
@@ -183,14 +146,8 @@ double lshape_scenario::initial(double x1, double x2) const {
 }
 
 std::vector<char> lshape_scenario::sd_mask(int sd_rows, int sd_cols) const {
-  // Top-right SD quadrant void — matches dist::domain_mask::l_shape.
-  const int half_rows = sd_rows / 2;
-  const int half_cols = sd_cols / 2;
-  std::vector<char> mask(static_cast<std::size_t>(sd_rows) * sd_cols, 1);
-  for (int r = 0; r < half_rows; ++r)
-    for (int c = half_cols; c < sd_cols; ++c)
-      mask[static_cast<std::size_t>(r) * sd_cols + c] = 0;
-  return mask;
+  // l_shape only reads the SD-grid geometry, so a unit tiling is enough.
+  return dist::domain_mask::l_shape(dist::tiling(sd_rows, sd_cols, 1, 1)).raw();
 }
 
 // ------------------------------------------------------------------- crack --
@@ -205,7 +162,7 @@ crack_scenario::crack_scenario(double x0, double y0, double x1, double y1,
 double crack_scenario::initial(double x1, double x2) const {
   // The crack perturbs work, not temperature: start from the same smooth
   // field as the manufactured problem so the solve stays comparable.
-  return nonlocal::manufactured_problem::u0(x1, x2);
+  return manufactured_scenario::u0(x1, x2);
 }
 
 std::vector<double> crack_scenario::sd_work(int sd_rows, int sd_cols) const {

@@ -1,8 +1,8 @@
 #pragma once
 ///
 /// \file scenario.hpp
-/// \brief Pluggable workload scenarios and their string-keyed registry —
-/// the "what to solve" half of the `nlh::api` facade (docs/api.md).
+/// \brief Pluggable workload scenarios and the string-keyed table of
+/// built-ins — the "what to solve" half of the `nlh::api` facade (docs/api.md).
 ///
 /// A scenario supplies everything about the model that is not
 /// discretization machinery: the initial condition, the discrete source
@@ -11,15 +11,13 @@
 /// session feeds to the partitioner. Both solvers
 /// (`nonlocal::serial_solver` and `dist::dist_solver`) route their IC and
 /// source evaluation through this interface; the `manufactured` scenario
-/// reproduces the historical hard-wired problem bit for bit and stays the
-/// default, so the serial==distributed bitwise guarantee is untouched.
+/// (the paper's §3.2 problem) is the default.
 ///
 /// This header is deliberately dependency-light (grid, kernel plan and DP
 /// rectangles only) so the numeric layers underneath the facade can
 /// consume it without a dependency cycle.
 ///
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -43,7 +41,7 @@ class scenario {
  public:
   virtual ~scenario() = default;
 
-  /// Registry key / display name.
+  /// Built-in key / display name.
   virtual std::string name() const = 0;
 
   /// Initial condition u0(x1, x2) on the interior (the collar keeps the
@@ -86,32 +84,39 @@ class scenario {
   virtual std::vector<double> sd_work(int sd_rows, int sd_cols) const;
 };
 
-// --------------------------------------------------------------- registry --
+// --------------------------------------------------------------- built-ins --
 
-using scenario_factory = std::function<std::shared_ptr<const scenario>()>;
-
-/// Register (or replace) a factory under `name`. The built-ins below are
-/// pre-registered; user code may add its own before building sessions.
-void register_scenario(const std::string& name, scenario_factory factory);
-
-/// Instantiate a registered scenario. Throws std::invalid_argument naming
-/// the unknown key and listing the registered ones.
+/// Instantiate a default-parameter built-in. Throws std::invalid_argument
+/// naming the unknown key and listing the built-in ones. The table is fixed;
+/// any other scenario reaches a session through
+/// session_options::custom_scenario.
 std::shared_ptr<const scenario> make_scenario(const std::string& name);
 
-/// Sorted registry keys (at least "crack", "gaussian_pulse", "lshape",
-/// "manufactured").
+/// Sorted built-in keys: "crack", "gaussian_pulse", "lshape",
+/// "manufactured".
 std::vector<std::string> scenario_names();
 
 // ------------------------------------------------------ built-in scenarios --
 // Concrete classes are exposed so callers can instantiate them with
 // non-default parameters and hand them to session_options::custom_scenario;
-// the registry holds default-parameter instances.
+// make_scenario() builds default-parameter instances.
 
-/// The paper's manufactured problem (§3.2): w = cos(2 pi t) sin(2 pi x1)
-/// sin(2 pi x2), source manufactured at the discrete level. The default
-/// scenario; reproduces `nonlocal::manufactured_problem` bitwise.
+/// The paper's manufactured problem (§3.2): w(t,x) = cos(2 pi t)
+/// sin(2 pi x1) sin(2 pi x2) on D, 0 outside. The heat source is
+/// manufactured at the *discrete* level, b_i^k = dw/dt(t_k, x_i) -
+/// L_h[w(t_k,.)](x_i), which makes w an exact solution of the semi-discrete
+/// system — the measured error then isolates the forward-Euler time
+/// discretization and decreases with refinement exactly as the paper's
+/// Fig. 8 expects. The default scenario.
 class manufactured_scenario final : public scenario {
  public:
+  /// Exact solution w(t, x); zero outside D (the collar).
+  static double w(double t, double x1, double x2);
+  /// Time derivative dw/dt.
+  static double dwdt(double t, double x1, double x2);
+  /// Initial condition u0(x) = w(0, x).
+  static double u0(double x1, double x2);
+
   std::string name() const override { return "manufactured"; }
   double initial(double x1, double x2) const override;
   void fill_aux(const scenario_context& ctx, double t,
@@ -132,7 +137,7 @@ class gaussian_pulse_scenario final : public scenario {
   /// profile is continuity-shifted (`exp(-r²/2σ²) − exp(-R²/2σ²)`) inside
   /// radius R and *exactly* 0.0 outside. Exact zeros propagate under the
   /// source-free forward-Euler update, which is what the delta codec's RLE
-  /// fast path compresses (docs/checkpoint.md) — the registry default
+  /// fast path compresses (docs/checkpoint.md) — the make_scenario default
   /// (support_radius = 0, infinite support) is bitwise unchanged.
   explicit gaussian_pulse_scenario(double center_x = 0.5, double center_y = 0.5,
                                    double sigma = 0.1, double amplitude = 1.0,

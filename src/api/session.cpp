@@ -138,7 +138,6 @@ class serial_impl final : public solver_impl {
     cfg.kind = o.kind;
     cfg.integrator = o.integrator;
     cfg.backend = resolve_backend(o);
-    cfg.tuning = o.kernel_tuning;
     return cfg;
   }
 
@@ -212,7 +211,6 @@ class dist_impl final : public solver_impl {
     if (const auto s = dist::parse_overlap_schedule(o.overlap_schedule))
       cfg.schedule = *s;
     cfg.backend = resolve_backend(o);
-    cfg.tuning = o.kernel_tuning;
     cfg.rebalance = o.auto_rebalance;
     // One codec choice drives both the checkpoint path and hibernation.
     cfg.checkpoint.codec = o.hibernation.codec;
@@ -546,38 +544,6 @@ std::vector<std::string> session::validate_resolved(const session_options& opt,
          "default)";
     err(m);
   }
-  // Tuning fields: zero derives, positive overrides (clamped downstream);
-  // negative is always a mistake, so name the field instead of clamping it
-  // silently.
-  if (opt.kernel_tuning.l1d_bytes < 0) {
-    std::ostringstream m;
-    m << "session_options.kernel_tuning.l1d_bytes: must be non-negative; 0 "
-         "probes the machine (got "
-      << opt.kernel_tuning.l1d_bytes << ")";
-    err(m);
-  }
-  if (opt.kernel_tuning.l2_bytes < 0) {
-    std::ostringstream m;
-    m << "session_options.kernel_tuning.l2_bytes: must be non-negative; 0 "
-         "probes the machine (got "
-      << opt.kernel_tuning.l2_bytes << ")";
-    err(m);
-  }
-  if (opt.kernel_tuning.row_block < 0) {
-    std::ostringstream m;
-    m << "session_options.kernel_tuning.row_block: must be non-negative; 0 "
-         "derives from the stencil reach (got "
-      << opt.kernel_tuning.row_block << ")";
-    err(m);
-  }
-  if (opt.kernel_tuning.col_tile < 0) {
-    std::ostringstream m;
-    m << "session_options.kernel_tuning.col_tile: must be non-negative; 0 "
-         "derives from the cache model (got "
-      << opt.kernel_tuning.col_tile << ")";
-    err(m);
-  }
-
   // Validated regardless of `enabled`: the codec choice also drives the
   // distributed checkpoint path and the export primitives.
   if (const auto herr = opt.hibernation.validate(); !herr.empty()) {

@@ -63,7 +63,7 @@ enum class partition_strategy {
 /// `nonlocal::solver_config` and `dist::dist_config` plus the partitioning
 /// and kernel-backend choices the examples used to hand-wire.
 struct session_options {
-  /// Registry key of the workload (see scenario_names()); ignored when
+  /// Built-in workload key (see scenario_names()); ignored when
   /// custom_scenario is set.
   std::string scenario = "manufactured";
   /// Explicit scenario instance (e.g. a parameterized crack_scenario);
@@ -106,12 +106,6 @@ struct session_options {
   /// process global is touched, so sessions with different backends
   /// coexist). Empty = follow the process default (see docs/api.md).
   std::string kernel_backend;
-  /// Blocked-execution overrides for this session's kernel cache model
-  /// (docs/kernels.md): zero fields derive from the probed cache geometry;
-  /// positive fields override (clamped to the documented bounds); negative
-  /// fields are a validation error. Execution order only — never changes
-  /// results.
-  nonlocal::kernel_tuning kernel_tuning;
 
   // --- Hibernation (docs/checkpoint.md) -----------------------------------
   /// When enabled, the solver_handle can park its full solver state in

@@ -6,8 +6,8 @@
 /// is imbalanced enough to act, and execute a bounded batch of epoch-tagged
 /// `migrate_sd` calls (docs/balance.md).
 ///
-/// Where the offline drivers (sim_driver/real_driver) own the stepping
-/// loop, the auto_rebalancer is owned *by* the solver: `dist_solver`
+/// Where the offline driver (sim_driver) owns the stepping loop, the
+/// auto_rebalancer is owned *by* the solver: `dist_solver`
 /// constructs one when `dist_config::rebalance.enabled` and calls
 /// `on_step()` after every completed step, so rebalancing interleaves with
 /// normal stepping without any caller cooperation. Because migrations only
@@ -33,8 +33,7 @@ namespace nlh::balance {
 class auto_rebalancer {
  public:
   /// Replaces the default busy-time source (`dist_solver::busy_fraction(l)`
-  /// of the solver's own pools, as in run_real_balancing). Returns one busy
-  /// value per locality; tests inject synthetic loads here to make move
+  /// of the solver's own pools). Returns one busy value per locality; tests inject synthetic loads here to make move
   /// sequences deterministic.
   using busy_sampler =
       std::function<std::vector<double>(const dist::dist_solver&)>;

@@ -212,12 +212,23 @@ class delta_codec_impl final : public codec {
     }
     flush_literals(w, z, lit_begin, n);
 
+    // Raw fallback: a frame the delta stream would inflate (dense,
+    // full-entropy values) is stored as the raw codec's 'r' frame, so no
+    // frame exceeds the raw payload plus its one-byte header.
+    if (w.size() - before > 1 + n * sizeof(double)) {
+      w.truncate(before);
+      return raw_codec().encode(vals, n, prev, w);
+    }
     return {n * sizeof(double), w.size() - before, fixed ? 'f' : 'b'};
   }
 
   void decode(net::archive_reader& r, double* out, std::size_t n,
               const double* prev) const override {
     const auto mode = r.read_byte();
+    if (mode == 'r') {  // raw fallback frame
+      r.read_raw(out, n * sizeof(double));
+      return;
+    }
     NLH_ASSERT_MSG(mode == 'f' || mode == 'b', "ckpt: delta codec frame expected");
     const bool fixed = mode == 'f';
     int scale = 0;

@@ -24,8 +24,10 @@
 /// quiescent majority of a localized workload — exactly-zero far field,
 /// SDs the activity front has not reached — is what makes compressed
 /// checkpoints 3-10x smaller than raw on pulse-type scenarios
-/// (bench/micro_checkpoint); dense full-entropy fields (crack,
-/// manufactured) stay near 1x, which the bench reports but does not gate.
+/// (bench/micro_checkpoint). Dense full-entropy fields (crack,
+/// manufactured) would come out larger than raw; the delta codec stores
+/// such a frame as the raw codec's 'r' frame instead, so a delta frame is
+/// never larger than raw plus its one-byte header.
 ///
 
 #include <cstddef>
@@ -42,8 +44,8 @@ namespace nlh::ckpt {
 struct frame_stats {
   std::uint64_t raw_bytes = 0;      ///< n * sizeof(double)
   std::uint64_t encoded_bytes = 0;  ///< bytes appended to the writer
-  /// Codec-specific mode tag ('r' raw; 'f' fixed-point lattice, 'b' IEEE
-  /// bit-cast keys for the delta codec).
+  /// Codec-specific mode tag ('r' raw, also the delta codec's fallback;
+  /// 'f' fixed-point lattice, 'b' IEEE bit-cast keys for the delta codec).
   char mode = '?';
 };
 

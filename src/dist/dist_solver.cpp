@@ -159,7 +159,6 @@ dist_solver::dist_solver(const dist_config& cfg, ownership_map own,
   migration_epoch_.assign(static_cast<std::size_t>(tiling_.num_sds()), 0);
 
   if (cfg_.backend) kernel_plan_.set_backend(*cfg_.backend);
-  kernel_plan_.set_tuning(cfg_.tuning);
   if (cfg_.rebalance.enabled)
     rebalancer_ = std::make_unique<balance::auto_rebalancer>(cfg_.rebalance);
 }

@@ -96,11 +96,6 @@ struct dist_config {
   /// Kernel backend this solver's plan is pinned to; nullopt keeps the
   /// plan following the process default (the historical behaviour).
   std::optional<nonlocal::kernel_backend> backend;
-  /// Blocked-execution overrides for the plan's cache model (see
-  /// block_plan.hpp); the value-initialized default derives everything.
-  /// Execution order only — never changes results or the bitwise
-  /// serial/distributed agreement.
-  nonlocal::kernel_tuning tuning;
   /// Live Algorithm 1 policy (docs/balance.md): when enabled, the solver
   /// owns a balance::auto_rebalancer and runs it after every completed
   /// step, migrating SDs between its own localities whenever the measured

@@ -70,6 +70,13 @@ class archive_writer {
     if (!v.empty()) std::memcpy(buf_.data() + old, v.data(), v.size() * sizeof(T));
   }
 
+  /// Drop everything written after the first `size` bytes (a codec
+  /// abandoning a frame it would otherwise inflate).
+  void truncate(std::size_t size) {
+    NLH_ASSERT(size <= buf_.size());
+    buf_.resize(size);
+  }
+
   byte_buffer take() { return std::move(buf_); }
   std::size_t size() const { return buf_.size(); }
 

@@ -183,6 +183,12 @@ void apply_simd(const double* u, double* out, int stride, int ghost,
     narrow_block(u, out, stride, ghost, plan, vc, vwsum, blk.row_begin,
                  blk.row_end, j_narrow, blk.col_end);
   });
+  // The compiler's own vzeroupper does not cover every exit: narrow_block
+  // (ymm arguments, out of line) returns without one, and the path after
+  // its last call jumps past the epilogue's. Leaving YMM_Hi128 in use taxes
+  // later SSE code in the caller (the AVX-SSE transition penalty), so clear
+  // the upper state explicitly on the single exit.
+  _mm256_zeroupper();
 }
 
 #elif NLH_SIMD_LEVEL == 1

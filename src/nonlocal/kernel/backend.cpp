@@ -1,6 +1,5 @@
 #include "nonlocal/kernel/backend.hpp"
 
-#include <atomic>
 #include <cstdio>
 
 namespace nlh::nonlocal {
@@ -13,9 +12,8 @@ kernel_backend best_available_backend() {
   return kernel_simd_available() ? kernel_backend::simd : kernel_backend::row_run;
 }
 
-/// CMake default > best available. Resolved once, then cached in the
-/// atomic below.
-kernel_backend resolve_initial_backend() {
+/// CMake default > best available.
+kernel_backend resolve_default_backend() {
 #ifdef NLH_KERNEL_DEFAULT_BACKEND_NAME
   if (const auto parsed = parse_kernel_backend(NLH_KERNEL_DEFAULT_BACKEND_NAME))
     return *parsed;
@@ -24,11 +22,6 @@ kernel_backend resolve_initial_backend() {
                NLH_KERNEL_DEFAULT_BACKEND_NAME);
 #endif
   return best_available_backend();
-}
-
-std::atomic<kernel_backend>& default_backend_slot() {
-  static std::atomic<kernel_backend> slot{resolve_initial_backend()};
-  return slot;
 }
 
 }  // namespace
@@ -78,11 +71,9 @@ bool kernel_avx512_available() {
 }
 
 kernel_backend kernel_default_backend() {
-  return default_backend_slot().load(std::memory_order_relaxed);
-}
-
-void set_kernel_default_backend(kernel_backend b) {
-  default_backend_slot().store(b, std::memory_order_relaxed);
+  // Resolved once per process; nothing changes it afterwards.
+  static const kernel_backend resolved = resolve_default_backend();
+  return resolved;
 }
 
 }  // namespace nlh::nonlocal

@@ -1,7 +1,7 @@
 #pragma once
 ///
 /// \file backend.hpp
-/// \brief Kernel backend enum and process-wide backend selection for the
+/// \brief Kernel backend enum and the process default backend of the
 /// nonlocal operator hot loop.
 ///
 /// Four implementations sit behind the single apply_nonlocal_operator_raw
@@ -59,13 +59,9 @@ bool kernel_avx512_available();
 /// 0 = forwarding fallback, 1 = AVX-512F.
 int kernel_avx512_compiled_level();
 
-/// Process-wide default backend — what an *unpinned* stencil_plan resolves
-/// to at dispatch time (see stencil_plan::backend()).
+/// Process default backend — what an *unpinned* stencil_plan resolves to
+/// (see stencil_plan::backend()). Fixed for the life of the process: the
+/// CMake-configured NLH_KERNEL_DEFAULT_BACKEND, else the best available.
 kernel_backend kernel_default_backend();
-
-/// Override the process-wide default (e.g. from bench/test CLI). Requests
-/// for `simd` when it is unavailable are honored at dispatch time by the
-/// row_run fallback, so the setting is always safe.
-void set_kernel_default_backend(kernel_backend b);
 
 }  // namespace nlh::nonlocal

@@ -110,12 +110,8 @@ cache_geometry probe_cache_geometry() {
 block_geometry compute_block_geometry(int reach, const kernel_tuning& tuning,
                                       const cache_geometry& cache) {
   const int r = std::max(reach, 0);
-  const long long l1 = clamp_cache_bytes(tuning.l1d_bytes > 0 ? tuning.l1d_bytes
-                                                              : cache.l1d_bytes,
-                                         fallback_l1d);
-  const long long l2 = clamp_cache_bytes(tuning.l2_bytes > 0 ? tuning.l2_bytes
-                                                             : cache.l2_bytes,
-                                         fallback_l2);
+  const long long l1 = clamp_cache_bytes(cache.l1d_bytes, fallback_l1d);
+  const long long l2 = clamp_cache_bytes(cache.l2_bytes, fallback_l2);
 
   block_geometry g;
 

@@ -16,9 +16,8 @@
 ///
 /// Geometry is derived once per stencil_plan from a probed cache model
 /// (`probe_cache_geometry`, Linux sysfs with conservative fallbacks) and
-/// can be overridden per solver through `kernel_tuning`
-/// (`solver_config::tuning`, `dist_config::tuning`,
-/// `api::session_options::kernel_tuning`). Every derived dimension is
+/// can be overridden per plan through `kernel_tuning`
+/// (`stencil_plan::set_tuning`). Every derived dimension is
 /// clamped to documented bounds, so degenerate inputs (zero-size caches,
 /// reaches wider than the cache) still yield a valid plan.
 ///
@@ -35,17 +34,15 @@
 
 namespace nlh::nonlocal {
 
-/// Per-solver kernel tuning knobs. Zero means "derive": probe the cache
-/// sizes, size the block dims from the stencil reach. Explicit values are
-/// clamped to the documented bounds, never trusted blindly.
+/// Per-plan kernel tuning knobs. Zero means "derive" the block dim from
+/// the stencil reach and the cache sizes. Explicit values are clamped to
+/// the documented bounds, never trusted blindly.
 struct kernel_tuning {
-  long long l1d_bytes = 0;  ///< L1 data cache budget source (0 = probe)
-  long long l2_bytes = 0;   ///< L2 cache budget source (0 = probe)
-  int row_block = 0;        ///< output rows per block (0 = derive)
-  int col_tile = 0;         ///< output columns per tile (0 = derive)
+  int row_block = 0;  ///< output rows per block (0 = derive)
+  int col_tile = 0;   ///< output columns per tile (0 = derive)
 };
 
-/// What the machine probe (or the tuning override) reports.
+/// What the machine probe reports.
 struct cache_geometry {
   long long l1d_bytes = 0;
   long long l2_bytes = 0;
@@ -87,8 +84,7 @@ struct block_geometry {
 block_geometry compute_block_geometry(int reach, const kernel_tuning& tuning,
                                       const cache_geometry& cache);
 
-/// Same, against the probed machine geometry (tuning cache fields, when
-/// positive, override the probe).
+/// Same, against the probed machine geometry.
 block_geometry compute_block_geometry(int reach, const kernel_tuning& tuning = {});
 
 /// Tuning that pins both dims to their maxima — a single block for every

@@ -20,20 +20,19 @@
 /// The plan is also the unit of backend ownership: a plan can be *pinned*
 /// to one kernel_backend, and the dispatching entry point
 /// (`apply_nonlocal_operator_raw` without an explicit backend argument)
-/// resolves through the plan. Unpinned plans follow the process default,
-/// which preserves the historical behaviour; pinned plans are what lets
-/// two sessions with different backends coexist in one process
-/// (docs/kernels.md).
+/// resolves through the plan. Unpinned plans use the process default
+/// (fixed once per process); pinned plans are what lets two sessions with
+/// different backends coexist in one process (docs/kernels.md).
 ///
 /// The plan also owns the **blocked execution geometry** (block_plan.hpp):
 /// at construction it derives the (row-block x column-tile) dims from the
 /// stencil reach and the probed cache hierarchy; `set_tuning` re-derives
-/// them under per-solver overrides. Every backend iterates the same
+/// them under explicit overrides (tests and the bench's unblocked
+/// baseline). Every backend iterates the same
 /// geometry, so row_run and the SIMD paths share one tuning source.
 ///
 
 #include <cstddef>
-#include <optional>
 #include <vector>
 
 #include "nonlocal/kernel/backend.hpp"
@@ -80,25 +79,17 @@ class stencil_plan {
   /// no-backend-argument apply overloads) uses `b` regardless of the
   /// process default. Owning solvers call this once at construction.
   void set_backend(kernel_backend b) { backend_ = b; }
-  /// Back to following the process default (the construction state).
-  void clear_backend() { backend_.reset(); }
-  bool has_pinned_backend() const { return backend_.has_value(); }
 
   /// The backend a dispatch through this plan resolves to: the pinned one,
-  /// else the process default at call time (so unpinned plans keep tracking
-  /// set_kernel_default_backend changes).
-  kernel_backend backend() const {
-    return backend_ ? *backend_ : kernel_default_backend();
-  }
+  /// else the process default.
+  kernel_backend backend() const { return backend_; }
 
   /// Re-derive the blocked execution geometry under `t` (see
-  /// block_plan.hpp). Owning solvers call this once at construction, before
-  /// the first apply; it is not synchronized against concurrent dispatch.
+  /// block_plan.hpp). Call it before the first apply; it is not
+  /// synchronized against concurrent dispatch.
   void set_tuning(const kernel_tuning& t) {
-    tuning_ = t;
-    blocking_ = compute_block_geometry(reach_, tuning_);
+    blocking_ = compute_block_geometry(reach_, t);
   }
-  const kernel_tuning& tuning() const { return tuning_; }
 
   /// The (row-block x column-tile) geometry every backend's blocked loop
   /// iterates for this plan.
@@ -110,8 +101,7 @@ class stencil_plan {
   std::vector<double> weights_;
   double weight_sum_ = 0.0;
   int reach_ = 0;
-  std::optional<kernel_backend> backend_;
-  kernel_tuning tuning_;
+  kernel_backend backend_ = kernel_default_backend();
   block_geometry blocking_;
 };
 

@@ -24,7 +24,6 @@ serial_solver::serial_solver(const solver_config& cfg,
       b_scratch_(grid_.make_field()) {
   NLH_ASSERT(cfg.num_steps >= 1);
   if (cfg.backend) plan_.set_backend(*cfg.backend);
-  plan_.set_tuning(cfg.tuning);
 }
 
 void serial_solver::set_initial_condition() {

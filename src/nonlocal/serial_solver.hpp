@@ -23,7 +23,6 @@
 #include "nonlocal/grid2d.hpp"
 #include "nonlocal/influence.hpp"
 #include "nonlocal/kernel/stencil_plan.hpp"
-#include "nonlocal/problem.hpp"
 #include "nonlocal/stencil.hpp"
 
 namespace nlh::nonlocal {
@@ -49,10 +48,6 @@ struct solver_config {
   /// Kernel backend this solver's plan is pinned to; nullopt keeps the
   /// plan following the process default (the historical behaviour).
   std::optional<kernel_backend> backend;
-  /// Blocked-execution overrides for the plan's cache model; the
-  /// value-initialized default keeps every field on "derive it" (see
-  /// block_plan.hpp). Never changes results, only execution order.
-  kernel_tuning tuning;
 };
 
 /// Per-run outputs. The error fields stay 0 when the scenario provides no

@@ -21,17 +21,6 @@ namespace nl = nlh::nonlocal;
 
 namespace {
 
-/// Restores the process-wide kernel backend on scope exit, so backend
-/// sweeps cannot leak into other tests.
-class backend_guard {
- public:
-  backend_guard() : saved_(nl::kernel_default_backend()) {}
-  ~backend_guard() { nl::set_kernel_default_backend(saved_); }
-
- private:
-  nl::kernel_backend saved_;
-};
-
 /// True when some validation message mentions `needle`.
 bool mentions(const std::vector<std::string>& errs, const std::string& needle) {
   return std::any_of(errs.begin(), errs.end(), [&](const std::string& e) {
@@ -64,11 +53,12 @@ api::session_options small_options(const std::string& scenario) {
 
 // ----------------------------------------------------------------- registry --
 
-TEST(ScenarioRegistry, SeededWithBuiltins) {
-  const auto names = api::scenario_names();
-  for (const char* expected : {"crack", "gaussian_pulse", "lshape", "manufactured"})
-    EXPECT_NE(std::find(names.begin(), names.end(), expected), names.end())
-        << expected;
+TEST(ScenarioRegistry, ListsExactlyTheBuiltins) {
+  EXPECT_EQ(api::scenario_names(),
+            (std::vector<std::string>{"crack", "gaussian_pulse", "lshape",
+                                      "manufactured"}));
+  for (const auto& name : api::scenario_names())
+    EXPECT_EQ(api::make_scenario(name)->name(), name);
 }
 
 TEST(ScenarioRegistry, LookupReturnsWorkingScenario) {
@@ -90,13 +80,15 @@ TEST(ScenarioRegistry, UnknownNameThrowsListingKnownOnes) {
   }
 }
 
-TEST(ScenarioRegistry, UserRegistrationIsVisible) {
-  api::register_scenario("test_pulse", [] {
-    return std::make_shared<const api::gaussian_pulse_scenario>(0.25, 0.25, 0.05);
-  });
-  EXPECT_EQ(api::make_scenario("test_pulse")->name(), "gaussian_pulse");
-  const auto names = api::scenario_names();
-  EXPECT_NE(std::find(names.begin(), names.end(), "test_pulse"), names.end());
+TEST(ScenarioRegistry, UserScenarioGoesThroughCustomScenario) {
+  // User scenarios never enter the built-in table; a session takes them
+  // through custom_scenario, which overrides the key.
+  auto opt = small_options("manufactured");
+  opt.custom_scenario =
+      std::make_shared<const api::gaussian_pulse_scenario>(0.25, 0.25, 0.05);
+  api::session session(opt);
+  EXPECT_EQ(session.active_scenario().name(), "gaussian_pulse");
+  EXPECT_FALSE(session.active_scenario().has_exact());
 }
 
 TEST(ScenarioRegistry, MaskAndWorkHooks) {
@@ -217,7 +209,6 @@ TEST(DistConfigValidation, SolverConstructionThrowsInsteadOfAsserting) {
 class SessionParityPerBackend : public ::testing::TestWithParam<nl::kernel_backend> {};
 
 TEST_P(SessionParityPerBackend, DistributedMatchesSerialBitwise) {
-  backend_guard guard;
   auto opt = small_options("manufactured");
   opt.kernel_backend = nl::kernel_backend_name(GetParam());
 

@@ -1,6 +1,5 @@
-// Tests for the scenario-registry error paths (unknown key, duplicate
-// registration, null factory, null custom_scenario fallbacks) and for
-// batch_runner: options validation, FIFO admission under the concurrency
+// Tests for the scenario-lookup error paths (unknown key, null
+// custom_scenario fallbacks) and for batch_runner: options validation, FIFO admission under the concurrency
 // cap, per-job failure isolation, aggregate metrics, and the
 // headline property — a concurrent mixed scenario/backend/mode batch where
 // every serial/distributed pair of one (scenario, backend) cell agrees
@@ -65,38 +64,6 @@ TEST(RegistryErrors, UnknownKeyThrowsListingRegisteredScenarios) {
     for (const char* builtin : {"crack", "gaussian_pulse", "lshape", "manufactured"})
       EXPECT_NE(msg.find(builtin), std::string::npos) << msg;
   }
-}
-
-TEST(RegistryErrors, DuplicateRegistrationReplacesTheFactory) {
-  api::register_scenario("dup_probe", [] {
-    return std::make_shared<const api::gaussian_pulse_scenario>(0.2, 0.2, 0.05);
-  });
-  // Same key again: last registration wins (documented replace semantics).
-  api::register_scenario("dup_probe", [] {
-    return std::make_shared<const api::manufactured_scenario>();
-  });
-  const auto scn = api::make_scenario("dup_probe");
-  EXPECT_EQ(scn->name(), "manufactured");
-  EXPECT_TRUE(scn->has_exact());
-  // The key appears once, not twice.
-  const auto names = api::scenario_names();
-  EXPECT_EQ(std::count(names.begin(), names.end(), "dup_probe"), 1);
-}
-
-using RegistryDeathTest = ::testing::Test;
-
-TEST(RegistryDeathTest, NullFactoryAborts) {
-  GTEST_FLAG_SET(death_test_style, "threadsafe");
-  EXPECT_DEATH(api::register_scenario("broken", api::scenario_factory{}),
-               "null factory");
-}
-
-TEST(RegistryDeathTest, EmptyNameAborts) {
-  GTEST_FLAG_SET(death_test_style, "threadsafe");
-  EXPECT_DEATH(api::register_scenario("", [] {
-                 return std::make_shared<const api::manufactured_scenario>();
-               }),
-               "empty name");
 }
 
 TEST(RegistryErrors, NullCustomScenarioFallsBackToTheRegistryKey) {

@@ -237,6 +237,51 @@ TEST(CkptCodec, DeltaCompressesZeroRunsAndSparseChange) {
   EXPECT_LT(s.encoded_bytes * 8, s.raw_bytes);
 }
 
+TEST(CkptCodec, DeltaNeverExceedsRawPlusHeaderOnDenseFrames) {
+  // Full-entropy doubles have no runs and no shared lattice: the delta
+  // stream would inflate them, so the codec must fall back to the raw
+  // frame — self-contained and against an unrelated baseline alike — and
+  // still decode bitwise. A frame in the middle of a writer keeps the
+  // bytes before it intact.
+  // Uniformly random bit patterns: no lattice, no runs, and without the
+  // fallback nearly every value costs a 9-10 byte IEEE-key varint.
+  std::mt19937_64 rng(2024);
+  auto uni = [](std::mt19937_64& g) {
+    const std::uint64_t bits = g();
+    double v;
+    std::memcpy(&v, &bits, sizeof v);
+    return v;
+  };
+  for (const std::size_t n : {std::size_t{1}, std::size_t{64}, std::size_t{4096}}) {
+    std::vector<double> vals(n), prev(n);
+    for (auto& v : vals) v = uni(rng);
+    for (auto& v : prev) v = uni(rng);
+    const std::vector<double>* bases[] = {nullptr, &prev};
+    for (const auto* base : bases) {
+      ckpt::frame_stats s;
+      EXPECT_TRUE(same_bits(codec_round_trip(ckpt::delta_codec(), vals, base, &s),
+                            vals))
+          << "n=" << n;
+      EXPECT_LE(s.encoded_bytes, 1 + n * sizeof(double)) << "n=" << n;
+    }
+  }
+
+  std::vector<double> vals(512);
+  for (auto& v : vals) v = uni(rng);
+  net::archive_writer w;
+  w.write(std::uint32_t{0xC0FFEEu});
+  const auto s = ckpt::delta_codec().encode(vals.data(), vals.size(), nullptr, w);
+  EXPECT_EQ(s.mode, 'r');
+  EXPECT_EQ(s.encoded_bytes, 1 + vals.size() * sizeof(double));
+  const auto buf = w.take();
+  net::archive_reader r(buf);
+  EXPECT_EQ(r.read<std::uint32_t>(), 0xC0FFEEu);
+  std::vector<double> out(vals.size());
+  ckpt::delta_codec().decode(r, out.data(), out.size(), nullptr);
+  EXPECT_TRUE(r.exhausted());
+  EXPECT_TRUE(same_bits(out, vals));
+}
+
 TEST(CkptCodec, RawIsExactlyPayloadPlusHeader) {
   std::vector<double> vals(100, 3.14);
   ckpt::frame_stats s;

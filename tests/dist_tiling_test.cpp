@@ -251,3 +251,18 @@ TEST(SdBlock, GlobalOrigin) {
   EXPECT_EQ(b.origin_row(), 7);
   EXPECT_EQ(b.origin_col(), 14);
 }
+
+// ---------------------------------------------------- assertion contracts ----
+
+using TilingDeathTest = ::testing::Test;
+
+TEST(TilingDeathTest, RejectsSdSmallerThanHorizon) {
+  GTEST_FLAG_SET(death_test_style, "threadsafe");
+  EXPECT_DEATH(dist::tiling(2, 2, 2, 4), "horizon");
+}
+
+TEST(TilingDeathTest, OwnershipRejectsBadNodeId) {
+  GTEST_FLAG_SET(death_test_style, "threadsafe");
+  const dist::tiling t(2, 2, 8, 2);
+  EXPECT_DEATH(dist::ownership_map(t, 2, {0, 1, 2, 0}), "out of range");
+}

@@ -2,8 +2,10 @@
 // canonicalization, run compilation invariants, bitwise/ULP agreement of the
 // scalar / row_run / simd / avx512 backends across horizon factors,
 // non-square rects and rects touching the ghost border, the blocked
-// execution plan (cache-model clamping, blocked == unblocked bitwise), and
-// the masked narrow bodies of the vector backends on every narrow shape.
+// execution plan (cache-model clamping, blocked == unblocked bitwise on
+// awkward rects and on the 24-DP-SD rect mix), the masked narrow bodies of
+// the vector backends on every narrow shape, and the clean upper-ymm state
+// every backend must return with.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +14,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "dist/tiling.hpp"
 #include "nonlocal/grid2d.hpp"
 #include "nonlocal/influence.hpp"
 #include "nonlocal/kernel/backend.hpp"
@@ -20,6 +23,11 @@
 #include "nonlocal/serial_solver.hpp"
 #include "nonlocal/steady_state.hpp"
 #include "support/rng.hpp"
+
+#if (defined(__GNUC__) || defined(__clang__)) && defined(__x86_64__)
+#include <cpuid.h>
+#define NLH_TEST_XINUSE 1
+#endif
 
 namespace nl = nlh::nonlocal;
 
@@ -59,6 +67,16 @@ void expect_rect_near(const nl::grid2d& g, const std::vector<double>& a,
     for (int j = rect.col_begin; j < rect.col_end; ++j)
       ASSERT_NEAR(a[g.flat(i, j)], b[g.flat(i, j)], tol)
           << "at (" << i << ", " << j << ")";
+}
+
+void expect_rect_bitwise(const nl::grid2d& g, const std::vector<double>& got,
+                         const std::vector<double>& want, const nl::dp_rect& rect,
+                         const char* what, nl::kernel_backend b) {
+  for (int i = rect.row_begin; i < rect.row_end; ++i)
+    for (int j = rect.col_begin; j < rect.col_end; ++j)
+      ASSERT_EQ(got[g.flat(i, j)], want[g.flat(i, j)])
+          << what << ", " << nl::kernel_backend_name(b) << ", rect " << rect.rows()
+          << "x" << rect.cols() << " at (" << i << ", " << j << ")";
 }
 
 /// Every selectable backend (unavailable ones dispatch through their
@@ -301,27 +319,33 @@ TEST(KernelBackends, AllZeroOnConstantField) {
 
 // ---------------------------------------------------------------- dispatch ----
 
-TEST(KernelDispatch, DefaultBackendEntryPointMatchesExplicit) {
+TEST(KernelDispatch, PlanEntryPointMatchesExplicit) {
+  // The no-backend entry point dispatches through the plan: an unpinned
+  // plan runs the process default, a pinned plan its pinned backend.
   const int n = 20;
   nl::grid2d g(n, 2.0 / n);
   nl::stencil st(g, nl::influence{});
   nl::stencil_plan plan(st);
   const auto u = random_field(g, 5);
   const nl::dp_rect all{0, n, 0, n};
-
-  const auto saved = nl::kernel_default_backend();
-  for (const auto b : kAllBackends) {
-    nl::set_kernel_default_backend(b);
-    EXPECT_EQ(nl::kernel_default_backend(), b);
-    auto via_default = g.make_field();
-    nl::apply_nonlocal_operator_raw(u.data(), via_default.data(), g.stride(),
-                                    g.ghost(), plan, 1.3, all);
+  auto expect_dispatches_to = [&](nl::kernel_backend b) {
+    auto via_plan = g.make_field();
+    nl::apply_nonlocal_operator_raw(u.data(), via_plan.data(), g.stride(), g.ghost(),
+                                    plan, 1.3, all);
     const auto explicit_out = apply_backend(g, plan, 1.3, u, all, b);
     for (int i = 0; i < n; ++i)
       for (int j = 0; j < n; ++j)
-        ASSERT_EQ(via_default[g.flat(i, j)], explicit_out[g.flat(i, j)]);
+        ASSERT_EQ(via_plan[g.flat(i, j)], explicit_out[g.flat(i, j)])
+            << nl::kernel_backend_name(b);
+  };
+
+  EXPECT_EQ(plan.backend(), nl::kernel_default_backend());
+  expect_dispatches_to(nl::kernel_default_backend());
+  for (const auto b : kAllBackends) {
+    plan.set_backend(b);
+    EXPECT_EQ(plan.backend(), b);
+    expect_dispatches_to(b);
   }
-  nl::set_kernel_default_backend(saved);
 }
 
 TEST(KernelDispatch, BackendNamesRoundTrip) {
@@ -367,6 +391,58 @@ TEST(KernelDispatch, Avx512AvailabilityIsConsistent) {
       apply_backend(g, plan, 1.0, u, {0, 8, 0, 8}, nl::kernel_backend::avx512);
   EXPECT_EQ(out.size(), g.total());
 }
+
+// XINUSE (XGETBV with ECX=1) bit 2: the upper halves of ymm0-15 hold
+// non-init state. A kernel that returns with it set makes every later SSE
+// instruction of the caller pay the AVX-SSE transition penalty.
+#ifdef NLH_TEST_XINUSE
+
+namespace {
+
+/// True when the CPU and OS support XGETBV with ECX=1.
+bool xinuse_readable() {
+  unsigned a = 0, b = 0, c = 0, d = 0;
+  if (!__get_cpuid(1, &a, &b, &c, &d) || !(c & bit_OSXSAVE)) return false;
+  if (!__get_cpuid_count(0xD, 1, &a, &b, &c, &d)) return false;
+  return (a & (1u << 2)) != 0;
+}
+
+std::uint64_t read_xinuse() {
+  std::uint32_t lo = 0, hi = 0;
+  __asm__ volatile("xgetbv" : "=a"(lo), "=d"(hi) : "c"(1));
+  return (static_cast<std::uint64_t>(hi) << 32) | lo;
+}
+
+}  // namespace
+
+TEST(KernelDispatch, EveryBackendReturnsWithCleanUpperYmmState) {
+  if (!xinuse_readable()) GTEST_SKIP() << "XGETBV with ECX=1 is not supported";
+  constexpr std::uint64_t kYmmHi128 = 1u << 2;
+  const int n = 64;
+  nl::grid2d g(n, 4.0 / n);
+  nl::stencil st(g, nl::influence{});
+  nl::stencil_plan plan(st);
+  const auto u = random_field(g, 17);
+  auto out = g.make_field();
+  const struct {
+    const char* name;
+    nl::dp_rect rect;
+  } shapes[] = {
+      {"wide", {0, n, 0, n}},
+      {"narrow", {5, 11, 3, 13}},
+      {"4-wide strip", {0, n, 60, 64}},
+  };
+  for (const auto b : kAllBackends)
+    for (const auto& s : shapes) {
+      nl::apply_nonlocal_operator_raw(u.data(), out.data(), g.stride(), g.ghost(),
+                                      plan, 1.0, s.rect, b);
+      const std::uint64_t xinuse = read_xinuse();
+      EXPECT_EQ(xinuse & kYmmHi128, 0u)
+          << nl::kernel_backend_name(b) << " left YMM_Hi128 in use after a "
+          << s.name << " rect";
+    }
+}
+#endif
 
 // ----------------------------------------------------------- blocked plan ----
 
@@ -520,6 +596,47 @@ TEST(KernelBlocking, StripDecompositionInvariantUnderBlocking) {
   }
 }
 
+TEST(KernelBlocking, Sd24RectMixIsBitwiseUnderTightAndUnblockedGeometry) {
+  // The distributed solver's rects in the paper's regime: 24-DP SDs at
+  // eps 4 on a checkerboard ownership (every SD margin is a remote strip),
+  // each rect applied on its SD's own padded block. The tightest explicit
+  // blocking and the single-block order must agree bit for bit, per
+  // backend, on the case-2 interior and on every case-1 strip.
+  const int sd_size = 24, ghost = 4, sd_grid = 3;
+  const nlh::dist::tiling t(sd_grid, sd_grid, sd_size, ghost);
+  std::vector<int> owner(static_cast<std::size_t>(t.num_sds()));
+  for (int sd = 0; sd < t.num_sds(); ++sd)
+    owner[static_cast<std::size_t>(sd)] = (sd / sd_grid + sd % sd_grid) % 2;
+
+  nl::grid2d g(sd_size, static_cast<double>(ghost) / sd_size);  // one SD block
+  nl::stencil st(g, nl::influence{});
+  nl::stencil_plan tight(st);
+  nl::kernel_tuning tight_tuning;
+  tight_tuning.row_block = nl::kernel_min_row_block;
+  tight_tuning.col_tile = nl::kernel_min_col_tile;
+  tight.set_tuning(tight_tuning);
+  nl::stencil_plan unblocked(st);
+  unblocked.set_tuning(nl::kernel_tuning_unblocked());
+  ASSERT_EQ(tight.blocking().row_block, nl::kernel_min_row_block);
+  ASSERT_EQ(tight.blocking().col_tile, nl::kernel_min_col_tile);
+
+  const double c = 1.7;
+  int strips = 0;
+  for (int sd = 0; sd < t.num_sds(); ++sd) {
+    const auto u = random_field(g, 300 + static_cast<unsigned>(sd));
+    const auto split = nlh::dist::compute_case_split(t, sd, owner);
+    std::vector<nl::dp_rect> rects = split.remote_strips;
+    strips += static_cast<int>(rects.size());
+    if (!split.interior.empty()) rects.push_back(split.interior);
+    for (const auto b : kAllBackends)
+      for (const auto& rect : rects)
+        expect_rect_bitwise(g, apply_backend(g, tight, c, u, rect, b),
+                            apply_backend(g, unblocked, c, u, rect, b), rect,
+                            "tight vs unblocked", b);
+  }
+  EXPECT_GT(strips, t.num_sds());  // every SD has remote margins
+}
+
 // ------------------------------------------------------- narrow bodies ----
 
 namespace {
@@ -551,16 +668,6 @@ std::vector<double> chain_reference(const nl::grid2d& g, const nl::stencil_plan&
       out[g.flat(i, j)] = c * std::fma(-plan.weight_sum(), u[g.flat(i, j)], acc);
     }
   return out;
-}
-
-void expect_rect_bitwise(const nl::grid2d& g, const std::vector<double>& got,
-                         const std::vector<double>& want, const nl::dp_rect& rect,
-                         const char* what, nl::kernel_backend b) {
-  for (int i = rect.row_begin; i < rect.row_end; ++i)
-    for (int j = rect.col_begin; j < rect.col_end; ++j)
-      ASSERT_EQ(got[g.flat(i, j)], want[g.flat(i, j)])
-          << what << ", " << nl::kernel_backend_name(b) << ", rect " << rect.rows()
-          << "x" << rect.cols() << " at (" << i << ", " << j << ")";
 }
 
 }  // namespace
@@ -631,52 +738,37 @@ TEST(KernelSolvers, SerialSolverErrorIsBackendIndependent) {
   cfg.epsilon_factor = 3;
   cfg.num_steps = 10;
 
-  const auto saved = nl::kernel_default_backend();
-  nl::set_kernel_default_backend(nl::kernel_backend::scalar);
+  cfg.backend = nl::kernel_backend::scalar;
   const auto ref = nl::serial_solver(cfg).run();
   for (const auto b : {nl::kernel_backend::row_run, nl::kernel_backend::simd,
                        nl::kernel_backend::avx512}) {
-    nl::set_kernel_default_backend(b);
-    const auto res = nl::serial_solver(cfg).run();
+    cfg.backend = b;
+    nl::serial_solver solver(cfg);
+    EXPECT_EQ(solver.backend(), b);
+    const auto res = solver.run();
     EXPECT_NEAR(res.total_error_e, ref.total_error_e,
                 1e-9 * std::abs(ref.total_error_e));
     EXPECT_NEAR(res.final_ek, ref.final_ek, 1e-9 * std::abs(ref.final_ek));
   }
-  nl::set_kernel_default_backend(saved);
 }
 
-TEST(KernelSolvers, SolverTuningNeverChangesResults) {
-  // solver_config::tuning reshapes execution order only: a solver under an
-  // aggressive explicit block geometry must reproduce the default-geometry
-  // solver bitwise, and its kernel counters must reflect the blocked sweep.
+TEST(KernelSolvers, SerialSolverCountsItsKernelWork) {
+  // The kernel/* observables: one operator apply per forward-Euler step
+  // over the whole interior, walked in the plan's blocked geometry.
   nl::solver_config cfg;
   cfg.n = 40;
   cfg.epsilon_factor = 8;
   cfg.num_steps = 5;
+  nl::serial_solver solver(cfg);
+  solver.set_initial_condition();
+  for (int k = 0; k < cfg.num_steps; ++k) solver.step(k);
 
-  nl::serial_solver ref(cfg);
-  ref.set_initial_condition();
-
-  cfg.tuning.row_block = nl::kernel_min_row_block;
-  cfg.tuning.col_tile = nl::kernel_min_col_tile;
-  nl::serial_solver tuned(cfg);
-  tuned.set_initial_condition();
-
-  for (int k = 0; k < cfg.num_steps; ++k) {
-    ref.step(k);
-    tuned.step(k);
-  }
-  ASSERT_EQ(ref.field().size(), tuned.field().size());
-  for (std::size_t i = 0; i < ref.field().size(); ++i)
-    ASSERT_EQ(ref.field()[i], tuned.field()[i]) << "at flat index " << i;
-
-  EXPECT_EQ(tuned.kernel_plan().blocking().row_block, nl::kernel_min_row_block);
-  EXPECT_EQ(tuned.kernel_plan().blocking().col_tile, nl::kernel_min_col_tile);
-  const auto& ks = tuned.kernel_stats();
+  const auto& ks = solver.kernel_stats();
   EXPECT_EQ(ks.applies, static_cast<std::uint64_t>(cfg.num_steps));
   EXPECT_EQ(ks.dps, static_cast<std::uint64_t>(cfg.num_steps) * cfg.n * cfg.n);
-  // 40 rows / 4-row blocks * 40 cols / 32-col tiles = 10 * 2 blocks/apply.
-  EXPECT_EQ(ks.blocks, static_cast<std::uint64_t>(cfg.num_steps) * 10 * 2);
+  EXPECT_EQ(ks.blocks, static_cast<std::uint64_t>(cfg.num_steps) *
+                           nl::count_blocks(solver.kernel_plan().blocking(), 0,
+                                            cfg.n, 0, cfg.n));
   EXPECT_GT(ks.seconds, 0.0);
   EXPECT_GT(ks.mdps(), 0.0);
 }

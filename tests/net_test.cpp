@@ -377,3 +377,17 @@ TEST(CommWorld, ResetTrafficFromDoesNotDropMessages) {
   world.reset_traffic_from(0);
   EXPECT_EQ(read_payload(world.recv(1, 0, 77).get()), 9);
 }
+
+// ---------------------------------------------------- assertion contracts ----
+
+using SerializerDeathTest = ::testing::Test;
+
+TEST(SerializerDeathTest, ArchiveUnderrunAborts) {
+  GTEST_FLAG_SET(death_test_style, "threadsafe");
+  net::archive_writer w;
+  w.write(1);
+  const auto buf = w.take();
+  net::archive_reader r(buf);
+  r.read<int>();
+  EXPECT_DEATH(r.read<double>(), "underrun");
+}

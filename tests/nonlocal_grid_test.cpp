@@ -180,3 +180,11 @@ TEST(Stencil, LinearKernelWeightsDecay) {
   }
   EXPECT_GT(near_w, far_w);
 }
+
+using Grid2dDeathTest = ::testing::Test;
+
+TEST(Grid2dDeathTest, OutOfBoundsFlatIndexAborts) {
+  GTEST_FLAG_SET(death_test_style, "threadsafe");
+  nl::grid2d g(4, 0.25);
+  EXPECT_DEATH(g.flat(100, 0), "NLH_ASSERT");
+}

@@ -6,12 +6,13 @@
 
 #include <cmath>
 
+#include "api/scenario.hpp"
 #include "nonlocal/error.hpp"
 #include "nonlocal/nonlocal_operator.hpp"
-#include "nonlocal/problem.hpp"
 #include "nonlocal/serial_solver.hpp"
 
 namespace nl = nlh::nonlocal;
+using mfg = nlh::api::manufactured_scenario;
 
 // ------------------------------------------------------ nonlocal operator ----
 
@@ -113,43 +114,47 @@ TEST(NonlocalOperator, ApproximatesLaplacianOfQuadratic) {
 // ---------------------------------------------------------------- problem ----
 
 TEST(Problem, ExactSolutionBoundaryZero) {
-  EXPECT_DOUBLE_EQ(nl::manufactured_problem::w(0.3, -0.1, 0.5), 0.0);
-  EXPECT_DOUBLE_EQ(nl::manufactured_problem::w(0.3, 0.5, 1.2), 0.0);
-  EXPECT_NE(nl::manufactured_problem::w(0.3, 0.25, 0.25), 0.0);
+  EXPECT_DOUBLE_EQ(mfg::w(0.3, -0.1, 0.5), 0.0);
+  EXPECT_DOUBLE_EQ(mfg::w(0.3, 0.5, 1.2), 0.0);
+  EXPECT_NE(mfg::w(0.3, 0.25, 0.25), 0.0);
+  EXPECT_DOUBLE_EQ(mfg().exact(0.3, 0.25, 0.25), mfg::w(0.3, 0.25, 0.25));
 }
 
 TEST(Problem, InitialConditionMatchesWAtZero) {
-  EXPECT_DOUBLE_EQ(nl::manufactured_problem::u0(0.3, 0.7),
-                   nl::manufactured_problem::w(0.0, 0.3, 0.7));
+  EXPECT_DOUBLE_EQ(mfg::u0(0.3, 0.7), mfg::w(0.0, 0.3, 0.7));
+  EXPECT_DOUBLE_EQ(mfg().initial(0.3, 0.7), mfg::u0(0.3, 0.7));
 }
 
 TEST(Problem, TimeDerivativeIsConsistent) {
   // Finite-difference check of dw/dt.
   const double t = 0.2, x = 0.3, y = 0.6, dt = 1e-6;
-  const double fd = (nl::manufactured_problem::w(t + dt, x, y) -
-                     nl::manufactured_problem::w(t - dt, x, y)) /
-                    (2 * dt);
-  EXPECT_NEAR(nl::manufactured_problem::dwdt(t, x, y), fd, 1e-6);
+  const double fd = (mfg::w(t + dt, x, y) - mfg::w(t - dt, x, y)) / (2 * dt);
+  EXPECT_NEAR(mfg::dwdt(t, x, y), fd, 1e-6);
 }
 
 TEST(Problem, SourceMakesWExactForSemiDiscrete) {
   // With the discrete manufactured source, dw/dt = b + L_h[w] holds exactly
-  // at every DP.
+  // at every DP. fill_aux writes w(t, .), source_into turns it into b.
   nl::grid2d g(16, 3.0 / 16);
   nl::influence J;
   nl::stencil st(g, J);
+  const nl::stencil_plan plan(st);
   const double c = J.scaling_constant(2, 1.0, g.epsilon());
-  nl::manufactured_problem prob(g, st, c);
+  const nlh::api::scenario_context ctx{&g, &plan, c};
+  const mfg scn;
   const double t = 0.37;
-  auto w = prob.exact_field(t);
-  auto b = prob.source_field(t);
+  const nl::dp_rect all{0, g.n(), 0, g.n()};
+  auto w = g.make_field();
+  auto b = g.make_field();
+  scn.fill_aux(ctx, t, all, w);
+  scn.source_into(ctx, t, w, all, b);
   auto lw = g.make_field();
-  nl::apply_nonlocal_operator(g, st, c, w, lw, {0, g.n(), 0, g.n()});
+  nl::apply_nonlocal_operator(g, st, c, w, lw, all);
   for (int i = 0; i < g.n(); ++i)
     for (int j = 0; j < g.n(); ++j) {
       const auto idx = g.flat(i, j);
-      EXPECT_NEAR(nl::manufactured_problem::dwdt(t, g.x(j), g.y(i)),
-                  b[idx] + lw[idx], 1e-11);
+      EXPECT_DOUBLE_EQ(w[idx], mfg::w(t, g.x(j), g.y(i)));
+      EXPECT_NEAR(mfg::dwdt(t, g.x(j), g.y(i)), b[idx] + lw[idx], 1e-11);
     }
 }
 
@@ -224,8 +229,7 @@ TEST(SerialSolver, ZeroStepsStateIsInitialCondition) {
   const auto& g = s.grid();
   for (int i = 0; i < g.n(); ++i)
     for (int j = 0; j < g.n(); ++j)
-      EXPECT_DOUBLE_EQ(u[g.flat(i, j)],
-                       nl::manufactured_problem::u0(g.x(j), g.y(i)));
+      EXPECT_DOUBLE_EQ(u[g.flat(i, j)], mfg::u0(g.x(j), g.y(i)));
 }
 
 TEST(SerialSolver, ErrorGrowsWithDt) {

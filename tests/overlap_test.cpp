@@ -39,7 +39,6 @@ std::vector<double> serial_reference(const dist::dist_config& cfg, int steps) {
   scfg.num_steps = steps;
   scfg.kind = cfg.kind;
   scfg.backend = cfg.backend;
-  scfg.tuning = cfg.tuning;
   nl::serial_solver s(scfg);
   s.set_initial_condition();
   for (int k = 0; k < steps; ++k) s.step(k);
@@ -277,21 +276,20 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(1, 3), ::testing::Values(0, 1),
                        ::testing::Bool()));
 
-// ----------------- bitwise equality, schedules x backends x geometries ----
+// ----------------------------- bitwise equality, schedules x backends ----
 
-// Third axis: the kernel block geometry. 0 = cache-derived default,
-// 1 = aggressively tight explicit blocking (forces partial blocks inside
-// every strip), 2 = unblocked single-block order. Bitwise equality
-// with the serial reference must hold for the full cross product — the
-// per-DP accumulation chain is a function of the stencil alone, never of
-// the rect decomposition or the block geometry.
-using SchedBackendParam = std::tuple<dist::overlap_schedule, std::string, int>;
+// Bitwise equality with the serial reference must hold for every schedule
+// and backend — the per-DP accumulation chain is a function of the stencil
+// alone, never of the rect decomposition. (That it is also independent of
+// the block geometry is a plan-level property: kernel_test's
+// KernelBlocking cases.)
+using SchedBackendParam = std::tuple<dist::overlap_schedule, std::string>;
 
 class ScheduleBackendEquivalence
     : public ::testing::TestWithParam<SchedBackendParam> {};
 
 TEST_P(ScheduleBackendEquivalence, BitwiseMatchesSerialReference) {
-  const auto [sched, backend_name, tuning_case] = GetParam();
+  const auto [sched, backend_name] = GetParam();
   dist::dist_config cfg;
   cfg.sd_rows = cfg.sd_cols = 3;
   cfg.sd_size = 6;
@@ -300,12 +298,6 @@ TEST_P(ScheduleBackendEquivalence, BitwiseMatchesSerialReference) {
   cfg.schedule = sched;
   cfg.backend = nl::parse_kernel_backend(backend_name);
   ASSERT_TRUE(cfg.backend.has_value());
-  if (tuning_case == 1) {
-    cfg.tuning.row_block = nl::kernel_min_row_block;
-    cfg.tuning.col_tile = nl::kernel_min_col_tile;
-  } else if (tuning_case == 2) {
-    cfg.tuning = nl::kernel_tuning_unblocked();
-  }
 
   const dist::tiling t(3, 3, 6, 2);
   dist::dist_solver solver(
@@ -323,8 +315,7 @@ INSTANTIATE_TEST_SUITE_P(
     AllSchedulesAllBackends, ScheduleBackendEquivalence,
     ::testing::Combine(::testing::Values(dist::overlap_schedule::bulk_sync,
                                          dist::overlap_schedule::coarse),
-                       ::testing::Values("scalar", "row_run", "simd", "avx512"),
-                       ::testing::Values(0, 1, 2)));
+                       ::testing::Values("scalar", "row_run", "simd", "avx512")));
 
 // ------------------------------- SD-sized rects through the facade ----
 

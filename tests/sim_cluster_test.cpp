@@ -164,3 +164,12 @@ TEST(ClusterSim, CommBoundVsComputeBound) {
   };
   EXPECT_LT(makespan_for(0.1), makespan_for(100.0));
 }
+
+using CapacityTraceDeathTest = ::testing::Test;
+
+TEST(CapacityTraceDeathTest, RejectsUnorderedSegments) {
+  GTEST_FLAG_SET(death_test_style, "threadsafe");
+  sim::capacity_trace t;
+  t.add_segment(0.0, 1.0);
+  EXPECT_DEATH(t.add_segment(0.0, 2.0), "out of order");
+}
